@@ -117,10 +117,11 @@ void on_commit(Fn&& action) {
 using runtime::LockGranularity;
 
 // Pins `cls` (a T::klass() pointer) to a granularity and applies it,
-// stopping the world if instances already exist. Returns false if the
-// switch was vetoed by live lock state (locks held right now); the pin
-// sticks, and under SBD_LOCK_GRANULARITY=adaptive the controller keeps
-// retrying it. Process-wide defaults come from SBD_LOCK_GRANULARITY.
+// stopping the world if instances already exist. Returns false, with
+// the map unchanged, if the switch was vetoed by live lock state (locks
+// held right now) or the world could not be stopped within the pin
+// budget; retry once the locks are released. Process-wide defaults come
+// from SBD_LOCK_GRANULARITY.
 // LockGranularity::kVersioned runs the class on the invisible-reader
 // protocol: reads load the value plus a per-word version stamp and
 // re-validate at split/commit instead of taking locks; writes still
@@ -129,15 +130,6 @@ using runtime::LockGranularity;
 inline bool set_lock_granularity(runtime::ClassInfo* cls, LockGranularity g,
                                  uint32_t stripes = 4) {
   return runtime::lockplan::set_class_map(cls, runtime::lockplan::make_map(g, stripes));
-}
-
-// Soft preference: when the adaptive controller finds `cls` cold, it
-// coarsens to this map instead of the default single-object lock. Has
-// no effect under fixed modes, so annotated code stays bit-for-bit
-// faithful when SBD_LOCK_GRANULARITY is unset.
-inline void hint_lock_granularity(runtime::ClassInfo* cls, LockGranularity g,
-                                  uint32_t stripes = 4) {
-  runtime::lockplan::hint_class_map(cls, runtime::lockplan::make_map(g, stripes));
 }
 
 // --- Tracing / oracle controls (core/obs) -----------------------------------

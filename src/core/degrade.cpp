@@ -22,9 +22,6 @@ std::mutex gTokenMu;
 std::condition_variable gTokenCv;
 bool gTokenHeld = false;
 
-std::atomic<uint64_t> gReplanWedges{0};
-std::atomic<uint64_t> gReplanWedgeBudget{3};
-
 }  // namespace
 
 void set_retry_budget(uint64_t aborts) {
@@ -67,25 +64,6 @@ void on_commit(ThreadContext& tc) {
     gTokenHeld = false;
   }
   gTokenCv.notify_one();
-}
-
-void note_replan_wedged() {
-  gReplanWedges.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t replans_wedged() { return gReplanWedges.load(std::memory_order_relaxed); }
-
-void set_replan_wedge_budget(uint64_t wedges) {
-  gReplanWedgeBudget.store(wedges, std::memory_order_relaxed);
-}
-
-uint64_t replan_wedge_budget() {
-  return gReplanWedgeBudget.load(std::memory_order_relaxed);
-}
-
-bool replan_quarantined() {
-  const uint64_t budget = gReplanWedgeBudget.load(std::memory_order_relaxed);
-  return budget != 0 && gReplanWedges.load(std::memory_order_relaxed) >= budget;
 }
 
 }  // namespace sbd::core::degrade

@@ -47,27 +47,5 @@ void on_abort(ThreadContext& tc);
 // token if held.
 void on_commit(ThreadContext& tc);
 
-// --- Lock re-plan wedge accounting -----------------------------------------
-// The adaptive lockplan controller stops the world to swap lock maps; a
-// mutator that never reaches a safepoint wedges that stop. The
-// controller reports each abandoned (timed-out or watchdog-cancelled)
-// re-plan here, and after `wedge budget` wedges the controller is
-// quarantined: further re-plans are skipped so the process degrades to
-// its current lock map instead of hanging or thrashing stop-the-worlds.
-
-// Called by runtime/lockplan when a re-plan stop-the-world is abandoned.
-void note_replan_wedged();
-
-// Abandoned re-plans since process start (monotonic).
-uint64_t replans_wedged();
-
-// Wedges tolerated before quarantine; 0 disables quarantine. Default: 3.
-void set_replan_wedge_budget(uint64_t wedges);
-uint64_t replan_wedge_budget();
-
-// True once replans_wedged() >= the (non-zero) wedge budget; re-plans
-// are skipped while true. Raising the budget lifts the quarantine.
-bool replan_quarantined();
-
 }  // namespace degrade
 }  // namespace sbd::core

@@ -63,9 +63,7 @@ const char* site_name(Site s) {
     case Site::kSocketReset:   return "socket-reset";
     case Site::kDbCommit:      return "db-commit-fault";
     case Site::kDbLockTimeout: return "db-lock-timeout";
-    case Site::kReplanVeto:    return "replan-veto-delay";
-    case Site::kReplanSwap:    return "replan-swap-delay";
-    case Site::kReplanPoll:    return "replan-poll-delay";
+    case Site::kSafepointPark: return "safepoint-park-delay";
     case Site::kServeAcceptFail: return "serve-accept-fail";
     case Site::kServeWriteShort: return "serve-write-short";
   }

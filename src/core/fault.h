@@ -32,13 +32,11 @@ enum class Site : int {
   kSocketReset,      // connection reset by peer on the loopback network (net/loopback.cpp)
   kDbCommit,         // transient commit-fence fault in the embedded DB (db/db.cpp)
   kDbLockTimeout,    // spurious lock-wait timeout (DbDeadlock) in the embedded DB (db/db.cpp)
-  kReplanVeto,       // delay the re-plan veto scan while the world is stopped (runtime/lockplan.cpp)
-  kReplanSwap,       // delay the re-plan lock-map swap while the world is stopped (runtime/lockplan.cpp)
-  kReplanPoll,       // delay a mutator reaching its safepoint park (core/safepoint.cpp)
+  kSafepointPark,    // delay a mutator reaching its safepoint park (core/safepoint.cpp)
   kServeAcceptFail,  // accept() returns a dead connection to the server (src/serve/serve.cpp)
   kServeWriteShort,  // response write cut short mid-flight, connection dropped (src/serve/serve.cpp)
 };
-inline constexpr int kNumSites = 15;
+inline constexpr int kNumSites = 13;
 
 const char* site_name(Site s);
 
@@ -87,7 +85,7 @@ uint64_t evaluated(Site site);  // decision points reached at `site` since set_p
 // RAII plan installer. Unlike a naive set/clear pair, the destructor
 // restores the complete previous registry state — plan, per-site RNG
 // streams, and counters — so an inner scope cannot clobber an outer
-// one (the AbortInjectionScope bug this subsystem replaces).
+// one (the abort-injection scope bug this subsystem replaces).
 class PlanScope {
  public:
   explicit PlanScope(const FaultPlan& p);

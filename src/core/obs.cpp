@@ -103,9 +103,9 @@ void append_event(Ring& r, EventKind kind, int txnId, int other, uint64_t lockAd
 
 std::mutex gRingMu;                // registration + drain only, never record
 // Both registries are leaked on purpose: threads joined from atexit
-// handlers (e.g. the adaptive lock-plan controller) run their TLS
-// ~RingHolder after static destruction has begun, and a function-local
-// static vector would already be gone by then.
+// handlers run their TLS ~RingHolder after static destruction has
+// begun, and a function-local static vector would already be gone by
+// then.
 std::vector<Ring*>& all_rings() {
   static auto& v = *new std::vector<Ring*>();
   return v;
@@ -628,8 +628,7 @@ std::string metrics_json() {
   os << "},\n  \"lockplan\": {";
   const runtime::lockplan::Counters lpc = runtime::lockplan::counters();
   os << "\"mode\": \"" << runtime::lockplan::mode_name() << "\""
-     << ", \"cycles\": " << lpc.cycles << ", \"replans\": " << lpc.replans
-     << ", \"vetoed\": " << lpc.vetoed << ", \"stops\": " << lpc.stops
+     << ", \"replans\": " << lpc.replans << ", \"vetoed\": " << lpc.vetoed
      << ", \"wedged\": " << lpc.wedged;
   os << "},\n  \"parking\": {";
   const core::ParkingLot::Counters pk = core::ParkingLot::counters();

@@ -19,9 +19,6 @@
 //      GlobalGauges, lock-pool stats, watchdog/degrade counters, and a
 //      top-N hot-lock contention table, exported as JSON via the
 //      SBD_METRICS_JSON env var or the API below.
-//
-// core/debug.h remains as a thin compatibility wrapper over this
-// header (the way core/inject.h wraps core/fault.h).
 #pragma once
 
 #include <atomic>
@@ -37,11 +34,11 @@ struct ClassInfo;  // defined in runtime/class_info.h
 
 namespace sbd::obs {
 
-// The first seven kinds mirror the original §6 debug mode (and keep
-// their order: core/debug.h aliases this enum); the rest are the
-// duration events of the always-on tracer and (after kSafepointStop)
-// the full-trace events consumed by the sbd::oracle happens-before
-// checker. New kinds must be APPENDED: the order is pinned.
+// The first seven kinds mirror the original §6 debug mode; the rest
+// are the duration events of the always-on tracer and (after
+// kSafepointStop) the full-trace events consumed by the sbd::oracle
+// happens-before checker. New kinds must be APPENDED: the order is
+// pinned.
 enum class EventKind : uint8_t {
   kBlocked,        // a transaction entered a wait queue
   kGranted,        // ...and eventually got the lock (duration = wait latency)
@@ -67,7 +64,7 @@ enum class EventKind : uint8_t {
 
 const char* event_kind_name(EventKind k);
 
-// DebugEvent::other reason codes carried by kVersionAbort.
+// Event::other reason codes carried by kVersionAbort.
 inline constexpr int kVersionAbortStale = 0;          // read saw a stamp past the snapshot
 inline constexpr int kVersionAbortWriteConflict = 1;  // foreign write lock outlasted the spin
 inline constexpr int kVersionAbortValidation = 2;     // split/commit re-validation failed

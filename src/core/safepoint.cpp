@@ -50,10 +50,9 @@ Safepoint::SafeScope::~SafeScope() {
 }
 
 void Safepoint::park(ThreadContext& tc) {
-  // Fault site: a mutator slow to reach its safepoint. This is what a
-  // wedged stop-the-world looks like from the stopper's side, so chaos
-  // can drive the re-plan budget/watchdog recovery path.
-  if (const uint64_t d = fault::fire_delay_nanos(fault::Site::kReplanPoll))
+  // Fault site: a mutator slow to reach its safepoint, which stretches
+  // every stop-the-world (GC, sampler, granularity pin).
+  if (const uint64_t d = fault::fire_delay_nanos(fault::Site::kSafepointPark))
     std::this_thread::sleep_for(std::chrono::nanoseconds(d));
   spill(tc);
   std::unique_lock<std::mutex> lk(gSpMu);
@@ -65,19 +64,15 @@ void Safepoint::park(ThreadContext& tc) {
 }
 
 void Safepoint::stop_world(ThreadContext& requester) {
-  const bool stopped = try_stop_world(requester, /*timeoutNanos=*/0, nullptr);
+  const bool stopped = try_stop_world(requester, /*timeoutNanos=*/0);
   SBD_CHECK(stopped);  // unbounded: can only return true
 }
 
-bool Safepoint::try_stop_world(ThreadContext& requester, uint64_t timeoutNanos,
-                               const std::atomic<bool>* cancel) {
+bool Safepoint::try_stop_world(ThreadContext& requester, uint64_t timeoutNanos) {
   const uint64_t t0 = now_nanos();
   const uint64_t deadline = timeoutNanos == 0 ? 0 : t0 + timeoutNanos;
-  const auto give_up = [&] {
-    if (cancel && cancel->load(std::memory_order_acquire)) return true;
-    return deadline != 0 && now_nanos() >= deadline;
-  };
-  // While queueing behind another stopper (GC, sampler, lock re-plan),
+  const auto give_up = [&] { return deadline != 0 && now_nanos() >= deadline; };
+  // While queueing behind another stopper (GC, sampler, granularity pin),
   // the requester must count as stopped, or the incumbent waits on us
   // forever while we wait on it: spill and go safe for the wait.
   spill(requester);
@@ -86,7 +81,7 @@ bool Safepoint::try_stop_world(ThreadContext& requester, uint64_t timeoutNanos,
   std::unique_lock<std::mutex> lk(gSpMu);
   gSpCv.notify_all();
   // The incumbent's stop counts against our budget too: a wedged GC or
-  // re-plan ahead of us must not wedge us as well.
+  // pin ahead of us must not wedge us as well.
   while (gStopper != nullptr) {
     if (give_up()) {
       requester.state.store(static_cast<int>(ThreadState::kRunning),

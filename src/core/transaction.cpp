@@ -9,7 +9,6 @@
 #include "common/timing.h"
 #include "core/degrade.h"
 #include "core/fault.h"
-#include "core/inject.h"
 #include "core/obs.h"
 #include "runtime/object.h"
 
@@ -18,13 +17,6 @@ namespace sbd::runtime {
 // lock pointer from nullptr (new in this transaction) to UNALLOC (lock
 // structures not yet allocated) — the init-log commit action of §3.3.
 void publish_new_object(ManagedObject* obj);
-namespace lockplan {
-// Defined in runtime/lockplan.cpp: per-class contention/deadlock
-// signals for the adaptive lock-granularity controller (independent of
-// obs tracing).
-void note_contention(ManagedObject* obj, bool wantWrite);
-void note_deadlock(ManagedObject* obj);
-}  // namespace lockplan
 }  // namespace sbd::runtime
 
 namespace sbd::core {
@@ -254,16 +246,20 @@ void begin_initial_section(ThreadContext& tc) {
   checkpoint_section(tc);
 }
 
-void commit_section(ThreadContext& tc) {
+namespace {
+
+// commit_section with the sampling decision made by the caller, so a
+// split draws once for itself and its inner commit.
+void commit_section_sampled(ThreadContext& tc, bool sampled) {
   SBD_CHECK(tc.txn.active());
   // -1. Versioned read validation, BEFORE anything externally visible:
   //     a section whose invisible reads were overwritten must abort, so
   //     neither its resource commits nor its footprint sample happen.
   LockEngine::versioned_validate(tc);
-  // Sampled commit-duration tracing (1-in-kDurationSamplePeriod): one
-  // relaxed load + a TLS tick on the unsampled path, cheap enough to
-  // stay enabled under the perf-smoke run.
-  const uint64_t traceStart = obs::sample_duration() ? now_nanos() : 0;
+  // Sampled commit-duration tracing (1-in-kDurationSamplePeriod): the
+  // caller's draw is one relaxed load + a TLS tick on the unsampled
+  // path, cheap enough to stay enabled under the perf-smoke run.
+  const uint64_t traceStart = sampled ? now_nanos() : 0;
   // 0. Sample the transaction footprint BEFORE resources flush their
   //    buffers (Table 8 accounting measures the section's peak state).
   account_section_end(tc, /*committed=*/true);
@@ -303,11 +299,21 @@ void commit_section(ThreadContext& tc) {
                 obs::kNoIndex, false, now_nanos() - traceStart, tc.txn.start_seq());
 }
 
+}  // namespace
+
+void commit_section(ThreadContext& tc) {
+  commit_section_sampled(tc, obs::sample_duration());
+}
+
 void split_section(ThreadContext& tc) {
-  // Failure injection (core/inject.h): abort instead of committing.
-  if (!tc.txn.inevitable() && should_inject_abort()) abort_and_restart(tc);
-  const uint64_t traceStart = obs::sample_duration() ? now_nanos() : 0;
-  commit_section(tc);
+  // Failure injection: abort instead of committing.
+  if (!tc.txn.inevitable() && fault::should_fire(fault::Site::kSplitAbort))
+    abort_and_restart(tc);
+  // One draw for the split and its inner commit: drawing twice per
+  // split would land every sampled tick on the commit, never the split.
+  const bool sampled = obs::sample_duration();
+  const uint64_t traceStart = sampled ? now_nanos() : 0;
+  commit_section_sampled(tc, sampled);
   Safepoint::poll(tc);
   tc.txn.startSeq_ = TxnManager::instance().next_seq();
   clear_section_state(tc);
@@ -441,7 +447,7 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   }
   if (victim < 0) return false;  // all waiters inevitable (transient view)
   // Recorded AFTER victim selection, so the event carries the chosen
-  // victim and the contended lock (the DebugEvent::other contract) —
+  // victim and the contended lock (the obs::Event::other contract) —
   // the §6 workflow needs to know who lost, not just that a cycle
   // happened. obj is stable here: our parked node pins it as a GC root
   // while we are enqueued. The victim's epoch (start_seq) rides in
@@ -450,9 +456,6 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   // epoch).
   obs::record_lock_event(obs::EventKind::kDeadlock, myId, victim, obj, word,
                          false, 0, tc.txn.start_seq(), victimSeq);
-  // Deadlock involvement disqualifies the class from the adaptive
-  // controller's versioned (invisible-reader) auto-selection.
-  runtime::lockplan::note_deadlock(obj);
   if (victim == myId) return true;
   mgr.request_abort(victim, victimSeq);
   return false;
@@ -470,7 +473,6 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
   const int myId = tc.txn.id();
   const LockWord myBit = tc.txn.mask();
   tc.stats.contendedAcquires++;
-  runtime::lockplan::note_contention(obj, wantWrite || upgrader);
   obs::record_lock_event(obs::EventKind::kBlocked, myId, -1, obj, word,
                          wantWrite || upgrader, 0, tc.txn.start_seq());
   const uint64_t blockStart = now_nanos();
@@ -796,8 +798,6 @@ constexpr int kVersionedSpinLimit = 64;
 [[noreturn]] void version_abort(ThreadContext& tc, runtime::ManagedObject* obj,
                                 LockWord* word, int reason) {
   tc.stats.versionAborts++;
-  if (obj && obj->h.cls)
-    obj->h.cls->versionAborts.fetch_add(1, std::memory_order_relaxed);
   obs::record_lock_event(obs::EventKind::kVersionAbort, tc.txn.id(), reason, obj,
                          word, false, 0, tc.txn.start_seq());
   abort_and_restart(tc);
@@ -868,7 +868,6 @@ bool LockEngine::versioned_acquire_write(ThreadContext& tc, runtime::ManagedObje
       if (!contended) {
         contended = true;
         tc.stats.contendedAcquires++;
-        runtime::lockplan::note_contention(obj, true);
         obs::record_lock_event(obs::EventKind::kBlocked, myId, -1, obj, word,
                                true, 0, tc.txn.start_seq());
         if (tc.txn.inevitable())

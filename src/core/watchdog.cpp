@@ -14,7 +14,6 @@
 #include "core/obs.h"
 #include "core/queue.h"
 #include "core/transaction.h"
-#include "runtime/lockplan.h"
 
 namespace sbd::core {
 
@@ -127,31 +126,9 @@ void check_wait(const WaitSnap& s, uint64_t now, std::map<uint64_t, StallRec>& r
   }
 }
 
-// Lockplan-controller heartbeat: spot a stop-the-world re-plan that has
-// been busy past the threshold and pull the plug on it. One report +
-// cancel per episode (keyed on the episode's start timestamp).
-void check_replan(uint64_t now, uint64_t& lastEpisode) {
-  if (gOpts.replanStallThresholdNanos == 0) return;
-  const uint64_t since = runtime::lockplan::replan_busy_since();
-  if (since == 0 || since == lastEpisode || now <= since) return;
-  const uint64_t busy = now - since;
-  if (busy < gOpts.replanStallThresholdNanos) return;
-  lastEpisode = since;
-  gStalls.fetch_add(1, std::memory_order_relaxed);
-  obs::record(obs::EventKind::kWatchdogStall, -1, -1, nullptr, nullptr,
-              obs::kNoIndex, false, busy);
-  if (gOpts.logToStderr)
-    std::fprintf(stderr,
-                 "[sbd-watchdog] lock re-plan wedged for %.1f ms; cancelling "
-                 "(a mutator is not reaching its safepoint)\n",
-                 busy / 1e6);
-  runtime::lockplan::cancel_current_replan();
-}
-
 void run() {
   std::map<uint64_t, StallRec> lockRecs, idRecs;
   std::vector<WaitSnap> snaps;
-  uint64_t lastReplanEpisode = 0;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(gSleepMu);
@@ -160,7 +137,6 @@ void run() {
       if (!gRun) return;
     }
     const uint64_t now = now_nanos();
-    check_replan(now, lastReplanEpisode);
     std::set<uint64_t> live;
     snaps.clear();
     // Scan phase: the registry lock is held, so ONLY lock-free reads are

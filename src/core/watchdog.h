@@ -2,9 +2,9 @@
 // periodically scans every registered SBD thread and flags transactions
 // that have been blocked — in a lock wait queue or on the §3.3
 // transaction-id pool — beyond a threshold. A detected stall is
-//   1. recorded in the §6 debug log (DebugEventKind::kWatchdogStall /
+//   1. recorded in the §6 debug log (obs::EventKind::kWatchdogStall /
 //      kIdPoolStall), so the per-lock contention summary
-//      (DebugLog::summarize) shows where the system seized up, and
+//      (obs::summarize) shows where the system seized up, and
 //   2. optionally broken by the abort-victim fallback: after a second,
 //      larger timeout the watchdog asks the stalled transaction to
 //      abort (TxnManager::request_abort — the same safe path the
@@ -29,12 +29,6 @@ class Watchdog {
     // Abort-victim fallback: a transaction still blocked after this
     // (>= stallThresholdNanos) is asked to abort. 0 disables.
     uint64_t abortVictimAfterNanos = 8'000'000'000;
-    // Lockplan-controller heartbeat: a stop-the-world re-plan busy
-    // longer than this is wedged — recorded as a stall and cancelled
-    // via runtime::lockplan::cancel_current_replan(), tripping the
-    // core/degrade wedge accounting instead of hanging the process.
-    // 0 disables.
-    uint64_t replanStallThresholdNanos = 5'000'000'000;
     // Also print one diagnostic line per stall to stderr.
     bool logToStderr = true;
   };

@@ -126,6 +126,9 @@ uint64_t run_baseline_once(const H2Config& cfg, int threads) {
         auto exec = [&](const std::string& sql, const std::vector<db::Value>& p) {
           return conn->execute(sql, p);
         };
+        // A retried business transaction replays the same inputs, as
+        // SBD's checkpoint rollback does for the stack-held rng.
+        const Rng saved = rng;
         for (;;) {
           try {
             conn->begin();
@@ -137,6 +140,7 @@ uint64_t run_baseline_once(const H2Config& cfg, int threads) {
             break;
           } catch (const db::DbDeadlock&) {
             conn->rollback();  // retry the business transaction
+            rng = saved;
           }
         }
       }
@@ -153,14 +157,6 @@ uint64_t run_sbd_once(const H2Config& cfg, int threads) {
   // array — this is what produces H2's small but nonzero lock-operation
   // counts in Table 7.
   runtime::GlobalRoot<runtime::I64Array> perThread;
-  // Each worker bumps its own counter slot, so per-field locks never
-  // conflict — which is exactly what makes long[] look cold to the
-  // adaptive planner. Striping (instead of a single object lock) keeps
-  // distinct threads on distinct words after coarsening; if collapsing
-  // ever induces real contention, the planner scorches the class back
-  // to field granularity.
-  hint_lock_granularity(runtime::array_class(runtime::ElemKind::kI64),
-                        LockGranularity::kStriped, 8);
   run_sbd([&] { perThread.set(runtime::I64Array::make(static_cast<uint64_t>(threads))); });
   {
     std::vector<threads::SbdThread> ts;

@@ -103,13 +103,6 @@ class PostingEntry : public runtime::TypedRef<PostingEntry> {
   SBD_FIELD_FINAL_I64(0, doc)
   SBD_FIELD_I64(1, tf)
   static PostingEntry make(int64_t doc, int64_t tf) {
-    // Tiny two-slot record, allocated by the million: one mapped lock
-    // per entry halves the Table 8 lock footprint, and `tf` updates
-    // already take the entry's only contended word. No-op unless
-    // SBD_LOCK_GRANULARITY=adaptive.
-    static const bool kHinted =
-        (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-    (void)kHinted;
     PostingEntry e = alloc();
     e.init_doc(doc);
     e.init_tf(tf);
@@ -123,11 +116,6 @@ class DocText : public runtime::TypedRef<DocText> {
   SBD_FIELD_FINAL_I64(0, id)
   SBD_FIELD_FINAL_REF(1, body, runtime::MString)
   static DocText make(int64_t id, runtime::MString body) {
-    // All-final record: its locks are only ever materialized, never
-    // acquired, so a single-word map is pure footprint savings.
-    static const bool kHinted =
-        (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-    (void)kHinted;
     DocText d = alloc();
     d.init_id(id);
     d.init_body(body);

@@ -119,12 +119,6 @@ class Posting2 : public runtime::TypedRef<Posting2> {
   SBD_FIELD_FINAL_I64(0, doc)
   SBD_FIELD_FINAL_I64(1, tf)
   static Posting2 make(int64_t doc, int64_t tf) {
-    // Read-only after construction (both slots final): coarsening to
-    // one lock word shrinks the index's lock arrays with no acquire
-    // cost. No-op unless SBD_LOCK_GRANULARITY=adaptive.
-    static const bool kHinted =
-        (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-    (void)kHinted;
     Posting2 p = alloc();
     p.init_doc(doc);
     p.init_tf(tf);

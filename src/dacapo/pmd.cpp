@@ -70,10 +70,6 @@ class ViolationRec : public runtime::TypedRef<ViolationRec> {
   SBD_FIELD_FINAL_REF(0, rule, runtime::MString)
   SBD_FIELD_FINAL_I64(1, line)
   static ViolationRec make(const analyzer::Violation& v) {
-    // Immutable report rows: one mapped lock per record is enough.
-    static const bool kHinted =
-        (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-    (void)kHinted;
     ViolationRec r = alloc();
     r.init_rule(runtime::MString::make(v.rule));
     r.init_line(v.line);

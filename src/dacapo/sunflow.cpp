@@ -81,14 +81,6 @@ struct SbdScene {
 
 void build_sbd_scene(SbdScene& out, uint64_t seed) {
   out.proto = raytrace::demo_scene(seed);
-  // Scene data (spheres, lights) is written once during setup and then
-  // only read by the render workers: read locks on a double[] never
-  // conflict, so one lock word per array beats one per element. The
-  // hint rides on the shared double[] class and only applies when the
-  // adaptive planner finds it cold (read-mostly), so other F64Array
-  // users are unaffected in fixed modes.
-  hint_lock_granularity(runtime::array_class(runtime::ElemKind::kF64),
-                        LockGranularity::kObject);
   out.numSpheres = static_cast<int>(out.proto.spheres.size());
   out.numLights = static_cast<int>(out.proto.lights.size());
   run_sbd([&] {

@@ -76,7 +76,7 @@ uint64_t run_baseline_once(const TomcatConfig& cfg, int threads) {
         for (;;) {
           net::HttpRequest req;
           auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-          if (!net::read_request(readFn, req)) break;
+          if (net::read_request_status(readFn, req) != net::ReadStatus::kOk) break;
           if (!initialized.exchange(true)) { /* one-time init flag */
           }
           std::string page;
@@ -112,7 +112,7 @@ uint64_t run_baseline_once(const TomcatConfig& cfg, int threads) {
         sock.write(net::serialize(req));
         net::HttpResponse resp;
         auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-        if (!net::read_response(readFn, resp)) break;
+        if (net::read_response_status(readFn, resp) != net::ReadStatus::kOk) break;
         sum += sbd::fnv1a(resp.body);
       }
       sock.close();
@@ -149,12 +149,6 @@ uint64_t run_sbd_once(const TomcatConfig& cfg, int threads) {
     SBD_CLASS(TomcatCounter, SBD_SLOT("n"))
     SBD_FIELD_I64(0, n)
   };
-  // Session counters are single-slot, so object == field here; the
-  // explicit hint pins that down against future slot additions and
-  // exercises the per-benchmark annotation path. No-op unless
-  // SBD_LOCK_GRANULARITY=adaptive.
-  hint_lock_granularity(Counter::klass(), LockGranularity::kObject);
-
   std::vector<threads::SbdThread> servers;
   for (int t = 0; t < threads; t++) {
     servers.emplace_back([&] {
@@ -189,7 +183,7 @@ uint64_t run_sbd_once(const TomcatConfig& cfg, int threads) {
           {
             net::HttpRequest req;
             auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-            if (net::read_request(readFn, req)) {
+            if (net::read_request_status(readFn, req) == net::ReadStatus::kOk) {
               // One-time initialization flag, set only once (Table 4
               // "Frequency": test-then-set avoids a write conflict on
               // every request).
@@ -248,7 +242,7 @@ uint64_t run_sbd_once(const TomcatConfig& cfg, int threads) {
         {
           net::HttpResponse resp;
           auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-          got = net::read_response(readFn, resp);
+          got = net::read_response_status(readFn, resp) == net::ReadStatus::kOk;
           if (got) sum += sbd::fnv1a(resp.body);
         }
         if (!got) break;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "runtime/lockplan.h"
+#include "runtime/class_info.h"
 
 namespace sbd::il {
 
@@ -17,12 +17,6 @@ uint64_t fact_key(int base, int fieldOrIdx, bool isElem, LockMode mode) {
   return (static_cast<uint64_t>(base) << 32) |
          (static_cast<uint64_t>(static_cast<uint32_t>(fieldOrIdx)) << 2) |
          (isElem ? 2u : 0u) | (mode == LockMode::kWrite ? 1u : 0u);
-}
-
-bool map_is_static(const runtime::ClassInfo* cls) {
-  using runtime::lockplan::Mode;
-  return runtime::lockplan::mode() != Mode::kAdaptive ||
-         cls->lockMapPinned.load(std::memory_order_relaxed);
 }
 
 // Versioned maps need no special casing in this analysis. Invisible
@@ -163,13 +157,15 @@ bool call_may_split(const Instr& i, const Module& m) {
   return callee == nullptr || callee->canSplit;
 }
 
-// Mapped lock index, when the static class annotation and its
-// immutable LockMap determine it: any map kind for field locks
-// (constant field index), object maps for element locks (every
-// index hits word 0 regardless of the index local's value).
+// Mapped lock index, when the static class annotation and its LockMap
+// determine it: any map kind for field locks (constant field index),
+// object maps for element locks (every index hits word 0 regardless of
+// the index local's value). A later set_lock_granularity() call
+// invalidates modules optimized before it — the documented JIT-style
+// contract (SEMANTICS.md).
 int mapped_lock_index(const Instr& i) {
   const bool isElem = i.c >= 0;
-  if (i.cls == nullptr || !map_is_static(i.cls)) return -1;
+  if (i.cls == nullptr) return -1;
   const runtime::LockMap map = i.cls->lock_map();
   if (!isElem) return static_cast<int>(map.index(static_cast<uint32_t>(i.b)));
   if (map.kind == runtime::LockMap::kObject) return 0;
@@ -229,7 +225,7 @@ void transfer(LockState& st, const Instr& i, const Module& m, const Summaries* s
         }
         for (const MappedSummaryFact& mf : cs->exitMapped) {
           if (mf.param < 0 || mf.param >= nargs) continue;
-          if (mf.cls == nullptr || !map_is_static(mf.cls)) continue;
+          if (mf.cls == nullptr) continue;
           genMapped.push_back(MappedFact{i.args[static_cast<size_t>(mf.param)],
                                          mf.lockIdx, /*write=*/false, mf.cls});
         }

@@ -114,13 +114,6 @@ struct MappedFact {
   }
 };
 
-// A class's LockMap may be consulted at analysis time only if it cannot
-// change afterwards: any fixed SBD_LOCK_GRANULARITY mode, or a pinned
-// class under adaptive (pins are permanent). A later
-// set_lock_granularity() call invalidates modules optimized before it
-// — the documented JIT-style contract (SEMANTICS.md).
-bool map_is_static(const runtime::ClassInfo* cls);
-
 // The must-locked lattice element flowing through one program point.
 // `callFacts`/`callMapped` track which facts arrived via a callee
 // summary — provenance for the interprocedural-elimination statistics

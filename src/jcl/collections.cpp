@@ -34,13 +34,6 @@ constexpr uint32_t kData = 0, kSize = 1;
 }
 
 MVector MVector::make(int64_t capacity) {
-  // Header slots (data, size) are read/written together in every
-  // operation: when the adaptive planner finds the class cold, a single
-  // object lock halves the acquire/release traffic. A hint is a no-op
-  // under the fixed modes, so default builds stay bit-for-bit faithful.
-  static const bool kHinted =
-      (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-  (void)kHinted;
   MVector v = alloc();
   if (capacity < 4) capacity = 4;
   auto arr = RefArray<AnyRef>::make(static_cast<uint64_t>(capacity));
@@ -111,10 +104,6 @@ constexpr uint32_t kKeys = 0, kVals = 1, kUsed = 2, kSize = 3, kCap = 4;
 }
 
 MIntMap MIntMap::make(int64_t capacity) {
-  // All five header slots travel together through get/put/rehash.
-  static const bool kHinted =
-      (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-  (void)kHinted;
   MIntMap m = alloc();
   if (capacity < 8) capacity = 8;
   // Round to a power of two for mask probing.
@@ -234,10 +223,6 @@ constexpr uint32_t kHashes = 0, kKeys = 1, kVals = 2, kSize = 3, kCap = 4;
 }
 
 MStrMap MStrMap::make(int64_t capacity) {
-  // Same shape as MIntMap: header slots are always co-accessed.
-  static const bool kHinted =
-      (hint_lock_granularity(klass(), LockGranularity::kObject), true);
-  (void)kHinted;
   MStrMap m = alloc();
   if (capacity < 8) capacity = 8;
   int64_t cap = 8;
@@ -359,12 +344,6 @@ constexpr uint32_t kItems = 0, kHead = 1, kTail = 2, kSize = 3, kIsEmpty = 4,
 }
 
 MTaskQueue MTaskQueue::make(int64_t capacity, bool useEmptyFlag) {
-  // put touches {items,tail,size,isEmpty}, take touches {items,head,
-  // size,isEmpty}: two stripes keep head and tail on separate words
-  // while still merging the bookkeeping slots each side shares.
-  static const bool kHinted =
-      (hint_lock_granularity(klass(), LockGranularity::kStriped, 2), true);
-  (void)kHinted;
   MTaskQueue q = alloc();
   runtime::init_write(q.raw(), tq::kItems,
                       reinterpret_cast<uint64_t>(

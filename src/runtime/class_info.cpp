@@ -55,9 +55,8 @@ void for_each_class(const std::function<void(ClassInfo*)>& fn) {
 
 ClassInfo* array_class(ElemKind kind) {
   // Array classes go through the same registration hook and class list
-  // as named classes: the lockplan controller must see them (array
-  // singletons are its most profitable coarsening targets), and the GC
-  // statics walk tolerates their statics == nullptr.
+  // as named classes (the GC statics walk tolerates their
+  // statics == nullptr).
   auto make = [](const char* name, ElemKind k) {
     auto* c = new ClassInfo();
     c->name = name;

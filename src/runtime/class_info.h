@@ -40,7 +40,7 @@ struct SlotDesc {
 // protects slot i (field index, array element index, or byte-array
 // block index). The paper fixes this at identity (one lock per
 // field/element, Fig. 4); making it a per-class policy turns the
-// granularity into a seam the runtime/lockplan controller can tune.
+// granularity into a seam runtime/lockplan sets per mode or per pin.
 //
 //   field      identity map — the faithful Fig. 4 default
 //   striped(k) natural index mod k — k lock words per instance
@@ -132,9 +132,6 @@ struct LockMap {
   }
 };
 
-// Sentinel for "no granularity hint set" (ClassInfo::lockMapHintBits).
-inline constexpr uint64_t kNoLockHint = ~0ULL;
-
 struct ClassInfo {
   std::string name;
   uint32_t slotCount = 0;
@@ -153,28 +150,9 @@ struct ClassInfo {
   // --- Lock-granularity policy (runtime/lockplan) ---------------------
   // The current slot→lock map, packed (LockMap::bits). Mutated only
   // before any instance of the class exists or with the world stopped
-  // (lockplan re-plan), so a relaxed load on the access fast path is
+  // (lockplan pin), so a relaxed load on the access fast path is
   // sound: no running transaction can ever observe the map mid-change.
   std::atomic<uint64_t> lockMapBits{0};  // 0 == LockMap::field_map().bits()
-  // set_lock_granularity() pinned the map; the adaptive controller
-  // keeps re-applying the pinned target and never overrides it.
-  std::atomic<bool> lockMapPinned{false};
-  // Preferred coarse map for the adaptive controller's cold-class
-  // choice (hint_lock_granularity), or kNoLockHint.
-  std::atomic<uint64_t> lockMapHintBits{kNoLockHint};
-  // Bumped by the contended-acquire slow path; the adaptive
-  // controller's contention signal (independent of obs tracing).
-  std::atomic<uint64_t> contentionEvents{0};
-  // Read/write breakdown of contentionEvents: the adaptive controller
-  // selects versioned maps for read-mostly contended classes.
-  std::atomic<uint64_t> contendedReads{0};
-  std::atomic<uint64_t> contendedWrites{0};
-  // Bumped when a deadlock resolution involved an instance of this
-  // class; the controller never picks versioned for such classes.
-  std::atomic<uint64_t> deadlockEvents{0};
-  // Stale-read / validation aborts on versioned words of this class;
-  // an abort storm scorches the class back to field granularity.
-  std::atomic<uint64_t> versionAborts{0};
 
   LockMap lock_map() const {
     return LockMap::from_bits(lockMapBits.load(std::memory_order_relaxed));

@@ -78,7 +78,7 @@ class Heap {
   ManagedObject* find_object(const void* p);
 
   // Enumerates every allocated object — live or dead-but-unswept (the
-  // lock-granularity re-plan must migrate garbage too, so the sweep's
+  // lock-granularity pin must migrate garbage too, so the sweep's
   // release width always matches the map the array was sized under).
   // Caller must have the world stopped.
   void for_each_object(const std::function<void(ManagedObject*)>& fn);

@@ -1,27 +1,20 @@
 // Lock-granularity planning — the policy side of the LockMap seam.
 //
 // The paper hard-wires one lock per field (Fig. 4). This layer decides,
-// per class, which LockMap the instances use, from three sources:
+// per class, which LockMap the instances use, from two sources:
 //
-//   1. SBD_LOCK_GRANULARITY=field|striped:<k>|object|versioned|adaptive
-//      — the process-wide mode, parsed once. Fixed modes apply their
-//      map at class registration and never change it; `field` (the
-//      default) is bit-for-bit the pre-LockMap behaviour; `versioned`
-//      runs every class on the invisible-reader protocol (per-word
-//      version stamps, commit-time read validation).
-//   2. set_lock_granularity() — a per-class pin from user code.
-//   3. The adaptive controller: a background thread that periodically
-//      coarsens cold classes (fewer lock words -> fewer acquire/release
-//      pairs, "On the Cost of Concurrency in TM"'s uncontended-cost
-//      argument), reverts classes that show contention back to field
-//      granularity using ClassInfo::contentionEvents as the signal, and
-//      promotes contended-but-read-mostly, deadlock-free classes to the
-//      versioned map (scorching back to field on version-abort storms).
+//   1. SBD_LOCK_GRANULARITY=field|striped:<k>|object|versioned — the
+//      process-wide mode, parsed once. Each mode applies its map at
+//      class registration; `field` (the default) is bit-for-bit the
+//      pre-LockMap behaviour; `versioned` runs every class on the
+//      invisible-reader protocol (per-word version stamps, commit-time
+//      read validation).
+//   2. set_lock_granularity() — an explicit per-class pin from user code.
 //
-// Re-plan safety: a map change swaps the width and indexing of every
+// Pin safety: a map change swaps the width and indexing of every
 // instance's lock array, so it happens only under stop-the-world, and
-// only for classes with no live lock state (see replan_now below). The
-// Fig. 5 fast path is preserved untouched: mutators poll *before*
+// only for classes with no live lock state (see set_class_map below).
+// The Fig. 5 fast path is preserved untouched: mutators poll *before*
 // loading the locks pointer, so the load-to-use window contains no
 // safepoint and no mutator can ever act on a mixed map.
 #pragma once
@@ -37,7 +30,7 @@ enum class LockGranularity : uint8_t { kField, kStriped, kObject, kVersioned };
 
 namespace lockplan {
 
-enum class Mode : uint8_t { kField, kStriped, kObject, kAdaptive, kVersioned };
+enum class Mode : uint8_t { kField, kStriped, kObject, kVersioned };
 
 // Process-wide mode from SBD_LOCK_GRANULARITY (parsed once, cached).
 Mode mode();
@@ -45,72 +38,26 @@ const char* mode_name();
 uint32_t mode_stripes();  // <k> of striped:<k> (default 4)
 
 // The map a freshly registered class starts with under mode().
-// Adaptive starts at field (faithful) and coarsens from data.
 LockMap initial_map();
 
 LockMap make_map(LockGranularity g, uint32_t stripes);
 
-// register_class()/array_class() hook: applies initial_map() and, in
-// adaptive mode, lazily starts the controller thread.
+// register_class()/array_class() hook: applies initial_map().
 void on_class_registered(ClassInfo* ci);
 
-// Pins `ci` to `m` and applies it (stop-the-world if needed). Returns
-// false if the change was vetoed by live lock state; the pin sticks
-// either way, and in adaptive mode the controller retries each cycle.
+// Switches `ci` to `m` under a bounded stop-the-world. Returns false,
+// leaving the map unchanged, if live lock state vetoes the change or
+// the world cannot be stopped within kPinStopBudgetNanos (a mutator
+// that never reaches a safepoint); the caller may retry.
 bool set_class_map(ClassInfo* ci, LockMap m);
 
-// Preference for the adaptive controller's cold-class coarsening (used
-// instead of the default `object` map). No effect under fixed modes.
-void hint_class_map(ClassInfo* ci, LockMap m);
-
-// Contention signal from the contended-acquire slow path. `wantWrite`
-// splits the per-class counters the adaptive versioned promotion needs
-// (read-mostly classes are the invisible-reader win case).
-void note_contention(ManagedObject* obj, bool wantWrite = false);
-
-// Deadlock-resolution signal (Dreadlocks victim chosen on a queue bound
-// to `obj`). A class that has EVER deadlocked is never promoted to the
-// versioned map: versioned words bypass the detector entirely, so the
-// promotion must not hide cycles the workload actually produces.
-void note_deadlock(ManagedObject* obj);
-
-// One decision + apply cycle; returns how many class maps changed.
-// The controller calls this periodically; tests call it directly.
-// Skipped (returns 0) while core::degrade::replan_quarantined().
-uint64_t replan_now();
-
-// --- Re-plan wedge recovery -------------------------------------------------
-// A re-plan stops the world; a mutator that never reaches a safepoint
-// would wedge it forever. Every re-plan stop therefore runs under a
-// budget (SBD_REPLAN_BUDGET_MS, default 2000ms, 0 = unlimited) and a
-// cancel flag the watchdog can raise. An abandoned stop counts as
-// `wedged`, feeds core::degrade::note_replan_wedged(), and leaves the
-// current lock maps untouched.
-
-// Heartbeat: nanosecond timestamp (now_nanos clock) of when the
-// currently-running re-plan cycle began, or 0 when idle. The watchdog
-// polls this to spot a wedged stop-the-world.
-uint64_t replan_busy_since();
-
-// Raises the cancel flag for the in-flight re-plan (no-op when idle).
-// Called by the watchdog once a re-plan exceeds its stall threshold.
-void cancel_current_replan();
-
-// Overrides the SBD_REPLAN_BUDGET_MS stop-the-world budget (tests).
-// 0 = unlimited (then only cancel_current_replan can unwedge).
-void set_replan_budget_nanos(uint64_t nanos);
-
-// Adaptive controller thread lifecycle. start is idempotent; stop
-// joins and may be called from atexit teardown.
-void start_controller();
-void stop_controller();
+// Budget for the pin's stop-the-world.
+inline constexpr uint64_t kPinStopBudgetNanos = 2'000'000'000;
 
 struct Counters {
-  uint64_t cycles = 0;   // replan_now() invocations
   uint64_t replans = 0;  // class maps actually changed
-  uint64_t vetoed = 0;   // per-class changes skipped due to live lock state
-  uint64_t stops = 0;    // cycles that stopped the world
-  uint64_t wedged = 0;   // stop-the-worlds abandoned (timeout or cancel)
+  uint64_t vetoed = 0;   // changes skipped due to live lock state
+  uint64_t wedged = 0;   // stop-the-worlds abandoned at the budget
 };
 Counters counters();
 

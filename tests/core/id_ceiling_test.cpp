@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "api/sbd.h"
-#include "core/debug.h"
 #include "core/ids.h"
+#include "core/obs.h"
 #include "core/watchdog.h"
 
 namespace sbd {
@@ -143,8 +143,8 @@ TEST(IdCeiling, WatchdogReportsIdPoolStallUnderPressure) {
   o.logToStderr = false;
   core::Watchdog::start(o);
   const uint64_t before = core::Watchdog::stalls_detected();
-  core::DebugLog::drain();
-  core::DebugLog::enable(true);
+  obs::drain();
+  obs::set_enabled(true);
   std::atomic<bool> release{false};
   {
     std::vector<SbdThread> ts;
@@ -163,13 +163,13 @@ TEST(IdCeiling, WatchdogReportsIdPoolStallUnderPressure) {
     release = true;
     for (auto& t : ts) t.join();
   }
-  core::DebugLog::enable(false);
+  obs::set_enabled(false);
   core::Watchdog::stop();
   EXPECT_GT(core::Watchdog::stalls_detected(), before)
       << "surplus threads blocked on the id pool must be reported";
   bool sawIdStall = false;
-  for (const auto& e : core::DebugLog::drain())
-    if (e.kind == core::DebugEventKind::kIdPoolStall) sawIdStall = true;
+  for (const auto& e : obs::drain())
+    if (e.kind == obs::EventKind::kIdPoolStall) sawIdStall = true;
   EXPECT_TRUE(sawIdStall) << "the stall must be logged as an id-pool stall";
 }
 

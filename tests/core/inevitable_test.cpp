@@ -5,8 +5,8 @@
 #include <thread>
 
 #include "api/sbd.h"
-#include "core/debug.h"
 #include "core/inevitable.h"
+#include "core/obs.h"
 
 namespace sbd {
 namespace {
@@ -99,8 +99,8 @@ TEST(Inevitable, NeverChosenAsDeadlockVictim) {
 }
 
 TEST(DebugLogT, RecordsBlockedAndDeadlockEvents) {
-  core::DebugLog::enable(true);
-  core::DebugLog::drain();
+  obs::set_enabled(true);
+  obs::drain();
   runtime::GlobalRoot<Cell> a, b;
   run_sbd([&] {
     Cell ca = Cell::alloc();
@@ -131,18 +131,18 @@ TEST(DebugLogT, RecordsBlockedAndDeadlockEvents) {
     t1.join();
     t2.join();
   }
-  core::DebugLog::enable(false);
-  const auto events = core::DebugLog::drain();
+  obs::set_enabled(false);
+  const auto events = obs::drain();
   bool sawBlocked = false, sawDeadlock = false, sawAbort = false;
   for (const auto& e : events) {
-    sawBlocked |= e.kind == core::DebugEventKind::kBlocked;
-    sawDeadlock |= e.kind == core::DebugEventKind::kDeadlock;
-    sawAbort |= e.kind == core::DebugEventKind::kAborted;
+    sawBlocked |= e.kind == obs::EventKind::kBlocked;
+    sawDeadlock |= e.kind == obs::EventKind::kDeadlock;
+    sawAbort |= e.kind == obs::EventKind::kAborted;
   }
   EXPECT_TRUE(sawBlocked);
   EXPECT_TRUE(sawDeadlock);
   EXPECT_TRUE(sawAbort);
-  const std::string summary = core::DebugLog::summarize(events);
+  const std::string summary = obs::summarize(events);
   EXPECT_NE(summary.find("deadlocks"), std::string::npos);
   // Contention is attributed symbolically (class.field via the class
   // registry), not by recyclable raw lock-word address.
@@ -150,10 +150,10 @@ TEST(DebugLogT, RecordsBlockedAndDeadlockEvents) {
 }
 
 TEST(DebugLogT, DisabledMeansFree) {
-  core::DebugLog::enable(false);
-  core::DebugLog::drain();
-  core::DebugLog::record(core::DebugEventKind::kBlocked, 1, -1, nullptr, false);
-  EXPECT_EQ(core::DebugLog::size(), 0u);
+  obs::set_enabled(false);
+  obs::drain();
+  obs::record(obs::EventKind::kBlocked, 1, -1, nullptr, nullptr, obs::kNoIndex, false);
+  EXPECT_EQ(obs::approx_size(), 0u);
 }
 
 }  // namespace

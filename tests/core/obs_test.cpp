@@ -136,6 +136,25 @@ TEST(ObsRing, ThreadExitRetiresRingWithMarker) {
       << "ordinals must order a thread's own events";
 }
 
+// A split draws the duration sample once for itself and its inner
+// commit, so a thread that only splits records a kSplit every
+// kDurationSamplePeriod sections.
+TEST(ObsDuration, EverySplitOnlyThreadSamplesSplits) {
+  obs::set_enabled(true);
+  obs::drain();
+  // A fresh thread starts its sampling tick at zero.
+  SbdThread t([] {
+    for (uint32_t i = 0; i < 4 * obs::kDurationSamplePeriod; i++) split();
+  });
+  t.start();
+  t.join();
+  const auto events = obs::drain();
+  obs::set_enabled(false);
+  size_t splits = 0;
+  for (const auto& e : events) splits += e.kind == obs::EventKind::kSplit;
+  EXPECT_EQ(splits, 4u);
+}
+
 TEST(ObsSymbols, AttributionStableUnderLockPoolRecycling) {
   static runtime::ClassInfo* clsA =
       runtime::register_class("ObsRecycleA", {SBD_SLOT("x")}, {});

@@ -66,6 +66,17 @@ TEST(Dacapo, H2ChecksumsMatchSingleThreaded) {
   EXPECT_EQ(base.checksum, sbdr.checksum);
 }
 
+// A business transaction retried after a DB deadlock must replay the
+// same inputs in both variants, so the totals agree under contention.
+TEST(Dacapo, H2ChecksumsMatchMultiThreaded) {
+  auto b = h2_benchmark();
+  for (int rep = 0; rep < 20; rep++) {
+    const auto base = b.baseline(Scale{1.0}, 2);
+    const auto sbdr = b.sbd(Scale{1.0}, 2);
+    ASSERT_EQ(base.checksum, sbdr.checksum) << "repetition " << rep;
+  }
+}
+
 TEST(Dacapo, H2MultiThreadedCompletes) {
   auto b = h2_benchmark();
   const auto sbdr = b.sbd(tiny(), 4);

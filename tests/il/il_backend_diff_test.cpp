@@ -5,7 +5,7 @@
 // must pass the happens-before oracle. Registered once per
 // lock-granularity mode in tests/CMakeLists.txt (the mode is parsed
 // once per process), so bit-identity holds under field, striped,
-// object, adaptive, and versioned maps.
+// object, and versioned maps.
 //
 // Also the home of the interprocedural-elimination unit tests
 // (compute_summaries, crossCallEliminated, optimize() fixpoint) and the

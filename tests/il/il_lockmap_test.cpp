@@ -20,9 +20,8 @@ runtime::ClassInfo* object_cls() {
   static runtime::ClassInfo* ci = [] {
     auto* c = runtime::register_class(
         "ILMapObj", {SBD_SLOT("a"), SBD_SLOT("b"), SBD_SLOT("c")});
-    // Pinned before any instance exists; in every fixed mode (this test
-    // binary runs the default, field) pins make the map static for the
-    // optimizer.
+    // Pinned before any instance exists, so the optimizer sees the
+    // object map from the start.
     EXPECT_TRUE(runtime::lockplan::set_class_map(c, runtime::LockMap::object_map()));
     return c;
   }();

@@ -6,7 +6,7 @@
 #include <atomic>
 #include <set>
 
-#include "core/inject.h"
+#include "core/fault.h"
 #include "jcl/collections.h"
 
 namespace sbd::jcl {
@@ -31,7 +31,7 @@ TEST(JclInject, QueueTransfersExactlyOnce) {
     queue.set(MTaskQueue::make(kItems + 1, true));
     seen.set(runtime::I64Array::make(kItems));
   });
-  core::AbortInjectionScope inject(0.15, 99);
+  fault::PlanScope inject(fault::single_site(fault::Site::kSplitAbort, 0.15, 99));
   {
     threads::SbdThread producer([&] {
       for (int i = 0; i < kItems; i++) {
@@ -57,7 +57,7 @@ TEST(JclInject, QueueTransfersExactlyOnce) {
     producer.join();
     consumer.join();
   }
-  EXPECT_GT(core::injected_aborts(), 0u);
+  EXPECT_GT(fault::fired(fault::Site::kSplitAbort), 0u);
   run_sbd([&] {
     for (int i = 0; i < kItems; i++)
       EXPECT_EQ(seen.get().get(static_cast<uint64_t>(i)), 1)
@@ -68,7 +68,7 @@ TEST(JclInject, QueueTransfersExactlyOnce) {
 TEST(JclInject, MapInsertsSurviveRetryStorm) {
   runtime::GlobalRoot<MStrMap> map;
   run_sbd([&] { map.set(MStrMap::make(8)); });
-  core::AbortInjectionScope inject(0.2, 4242);
+  fault::PlanScope inject(fault::single_site(fault::Site::kSplitAbort, 0.2, 4242));
   {
     std::vector<threads::SbdThread> ts;
     for (int t = 0; t < 2; t++) {
@@ -87,7 +87,7 @@ TEST(JclInject, MapInsertsSurviveRetryStorm) {
     for (auto& t : ts) t.start();
     for (auto& t : ts) t.join();
   }
-  EXPECT_GT(core::injected_aborts(), 0u);
+  EXPECT_GT(fault::fired(fault::Site::kSplitAbort), 0u);
   run_sbd([&] {
     EXPECT_EQ(map.get().size(), 160);
     for (int t = 0; t < 2; t++)
@@ -103,7 +103,7 @@ TEST(JclInject, MapInsertsSurviveRetryStorm) {
 TEST(JclInject, VectorPushesAtomicUnderAborts) {
   runtime::GlobalRoot<MVector> vec;
   run_sbd([&] { vec.set(MVector::make(4)); });
-  core::AbortInjectionScope inject(0.2, 777);
+  fault::PlanScope inject(fault::single_site(fault::Site::kSplitAbort, 0.2, 777));
   {
     std::vector<threads::SbdThread> ts;
     for (int t = 0; t < 3; t++) {

@@ -25,7 +25,7 @@ TEST(HttpEdge, BareLfLineEndingsAccepted) {
   const std::string wire = "GET /x HTTP/1.1\nHost: a\n\n";
   auto pos = std::make_shared<size_t>(0);
   HttpRequest req;
-  ASSERT_TRUE(read_request(string_source(wire, pos), req));
+  ASSERT_EQ(read_request_status(string_source(wire, pos), req), ReadStatus::kOk);
   EXPECT_EQ(req.method, "GET");
   EXPECT_EQ(req.headers.at("Host"), "a");
 }
@@ -34,7 +34,7 @@ TEST(HttpEdge, HeaderWhitespaceTrimmed) {
   const std::string wire = "GET / HTTP/1.1\r\nKey:    spaced value\r\n\r\n";
   auto pos = std::make_shared<size_t>(0);
   HttpRequest req;
-  ASSERT_TRUE(read_request(string_source(wire, pos), req));
+  ASSERT_EQ(read_request_status(string_source(wire, pos), req), ReadStatus::kOk);
   EXPECT_EQ(req.headers.at("Key"), "spaced value");
 }
 
@@ -46,7 +46,7 @@ TEST(HttpEdge, BodyLengthRespected) {
   const std::string wire = serialize(req) + "TRAILING GARBAGE";
   auto pos = std::make_shared<size_t>(0);
   HttpRequest back;
-  ASSERT_TRUE(read_request(string_source(wire, pos), back));
+  ASSERT_EQ(read_request_status(string_source(wire, pos), back), ReadStatus::kOk);
   EXPECT_EQ(back.body.size(), 1000u);
   EXPECT_EQ(back.body[999], 'x');
 }
@@ -55,7 +55,7 @@ TEST(HttpEdge, TruncatedBodyReturnsWhatArrived) {
   const std::string wire = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
   auto pos = std::make_shared<size_t>(0);
   HttpRequest req;
-  ASSERT_TRUE(read_request(string_source(wire, pos), req));
+  ASSERT_EQ(read_request_status(string_source(wire, pos), req), ReadStatus::kOk);
   EXPECT_EQ(req.body, "abc");
 }
 
@@ -63,7 +63,7 @@ TEST(HttpEdge, MalformedHeaderLinesSkipped) {
   const std::string wire = "GET / HTTP/1.1\r\nno-colon-line\r\nGood: v\r\n\r\n";
   auto pos = std::make_shared<size_t>(0);
   HttpRequest req;
-  ASSERT_TRUE(read_request(string_source(wire, pos), req));
+  ASSERT_EQ(read_request_status(string_source(wire, pos), req), ReadStatus::kOk);
   EXPECT_EQ(req.headers.size(), 1u);
   EXPECT_EQ(req.headers.at("Good"), "v");
 }

@@ -1,15 +1,16 @@
 // LockMap + lockplan, fixed modes (SBD_LOCK_GRANULARITY unset → field).
 //
 // Covers: the LockMap width/index/bits algebra, lock_count/lock_index
-// following the class map, stop-the-world re-planning with the live-
-// lock-state veto, pinned-map retry via replan_now(), and the Table 8
-// "Locks" gauge reporting semantic *mapped* bytes — not pooled
-// capacity — under all three granularities (the MemorySampler reads
-// the same gauge). The adaptive controller has its own binary
-// (lockplan_adaptive_test) because the mode is parsed once per process.
+// following the class map, stop-the-world pins with the live-lock-state
+// veto and the bounded stop, and the Table 8 "Locks" gauge reporting
+// semantic *mapped* bytes — not pooled capacity — under all three
+// granularities (the MemorySampler reads the same gauge).
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "api/sbd.h"
+#include "common/timing.h"
 #include "core/stats.h"
 #include "runtime/lockplan.h"
 #include "runtime/object.h"
@@ -87,7 +88,7 @@ class VetoCell : public runtime::TypedRef<VetoCell> {
   SBD_FIELD_I64(0, v)
 };
 
-TEST(LockPlan, LiveLockStateVetoesThenReplanRetries) {
+TEST(LockPlan, LiveLockStateVetoesThenRetrySucceeds) {
   runtime::GlobalRoot<VetoCell> root;
   const auto before = runtime::lockplan::counters();
   run_sbd([&] {
@@ -103,13 +104,50 @@ TEST(LockPlan, LiveLockStateVetoesThenReplanRetries) {
   });
   const auto mid = runtime::lockplan::counters();
   EXPECT_GT(mid.vetoed, before.vetoed);
-  // The pin stuck: a later replan cycle (what the adaptive controller
-  // runs periodically) applies it once the lock state is gone.
-  EXPECT_GE(runtime::lockplan::replan_now(), 1u);
+  // The section committed and released the lock: a retry applies.
+  EXPECT_TRUE(set_lock_granularity(VetoCell::klass(), LockGranularity::kObject));
   EXPECT_EQ(VetoCell::klass()->lock_map(), LockMap::object_map());
-  const auto after = runtime::lockplan::counters();
-  EXPECT_GT(after.replans, mid.replans);
-  EXPECT_GT(after.cycles, mid.cycles);
+  EXPECT_GT(runtime::lockplan::counters().replans, mid.replans);
+}
+
+// An SBD-attached thread that spins on a plain atomic: it performs no
+// SBD access, so it never polls a safepoint — a deterministic wedge.
+// The constructor waits until the thread is attached AND inside the
+// spin loop; a stop-the-world begun before registration would not see
+// the thread and succeed vacuously.
+struct WedgedMutator {
+  std::atomic<bool> spin{true};
+  std::atomic<bool> started{false};
+  SbdThread thread;
+  WedgedMutator()
+      : thread([this] {
+          started.store(true, std::memory_order_release);
+          while (spin.load(std::memory_order_acquire)) {
+          }
+        }) {
+    thread.start();
+    while (!started.load(std::memory_order_acquire)) {
+    }
+  }
+  ~WedgedMutator() {
+    spin.store(false, std::memory_order_release);
+    thread.join();
+  }
+};
+
+TEST(LockPlan, PinGivesUpWhenTheWorldCannotStop) {
+  runtime::ClassInfo* ci =
+      runtime::register_class("LockPlanWedged", {SBD_SLOT("a"), SBD_SLOT("b")});
+  const auto before = runtime::lockplan::counters();
+  {
+    WedgedMutator wedge;
+    const uint64_t t0 = now_nanos();
+    EXPECT_FALSE(set_lock_granularity(ci, LockGranularity::kObject));
+    EXPECT_LT(now_nanos() - t0, 2 * runtime::lockplan::kPinStopBudgetNanos)
+        << "the stop must give up at its budget";
+  }
+  EXPECT_TRUE(ci->lock_map().identity());  // map unchanged
+  EXPECT_GT(runtime::lockplan::counters().wedged, before.wedged);
 }
 
 // One 6-slot class per granularity — granularity pins are per-class
@@ -166,7 +204,7 @@ TEST(LockPlan, Table8GaugeCountsMappedBytes) {
   EXPECT_EQ(materialized_bytes(s), 4 * sizeof(core::LockWord));
   EXPECT_EQ(materialized_bytes(o), 1 * sizeof(core::LockWord));
 
-  // A re-plan releases the survivors' arrays under the OLD map, so the
+  // A pin releases the survivors' arrays under the OLD map, so the
   // gauge stays byte-exact across the swap: the field-width bytes come
   // off now and the object-width bytes go on at next materialization.
   const uint64_t before = core::gauges().lockStructBytes.load();
@@ -176,33 +214,17 @@ TEST(LockPlan, Table8GaugeCountsMappedBytes) {
   EXPECT_EQ(materialized_bytes(f), 1 * sizeof(core::LockWord));
 }
 
-TEST(LockPlan, ContentionSignalBumpsTheClassCounter) {
-  runtime::GlobalRoot<Six> root;
-  run_sbd([&] {
-    Six x = Six::alloc();
-    x.init_s0(1);
-    root.set(x);
-  });
-  const uint64_t before = Six::klass()->contentionEvents.load();
-  runtime::lockplan::note_contention(root.get().raw());
-  EXPECT_EQ(Six::klass()->contentionEvents.load(), before + 1);
-}
-
-TEST(LockPlan, FixedModeDefaultsAreFaithful) {
-  // This binary runs with SBD_LOCK_GRANULARITY unset: field mode, no
-  // controller, and hints must be inert (annotated library code stays
-  // bit-for-bit identical to the pre-LockMap runtime).
+TEST(LockPlan, FieldModeDefaultsAreFaithful) {
+  // This binary runs with SBD_LOCK_GRANULARITY=field: every class
+  // starts on the identity map, bit-for-bit the pre-LockMap runtime.
   EXPECT_EQ(runtime::lockplan::mode(), runtime::lockplan::Mode::kField);
   EXPECT_STREQ(runtime::lockplan::mode_name(), "field");
   EXPECT_EQ(runtime::lockplan::initial_map(), LockMap::field_map());
-  class Hinted : public runtime::TypedRef<Hinted> {
+  class Fresh : public runtime::TypedRef<Fresh> {
    public:
-    SBD_CLASS(LockPlanHinted, SBD_SLOT("a"), SBD_SLOT("b"))
+    SBD_CLASS(LockPlanFresh, SBD_SLOT("a"), SBD_SLOT("b"))
   };
-  hint_lock_granularity(Hinted::klass(), LockGranularity::kObject);
-  EXPECT_TRUE(Hinted::klass()->lock_map().identity());
-  runtime::lockplan::replan_now();  // fixed mode: hints still inert
-  EXPECT_TRUE(Hinted::klass()->lock_map().identity());
+  EXPECT_TRUE(Fresh::klass()->lock_map().identity());
 }
 
 }  // namespace

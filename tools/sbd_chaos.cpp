@@ -28,12 +28,12 @@
 //                   Violations print the offending event windows, write
 //                   artifacts to $SBD_ORACLE_ARTIFACT_DIR when set, and
 //                   fail the run.
-//   --differential  re-executes the SAME seed as five child processes,
+//   --differential  re-executes the SAME seed as four child processes,
 //                   one per lock-granularity mode (field, striped:4,
-//                   object, adaptive, versioned — granularity is parsed
-//                   once per process, hence processes), each with
-//                   --oracle, and requires every child to pass its
-//                   oracle AND all five invariant checksums to match.
+//                   object, versioned — granularity is parsed once per
+//                   process, hence processes), each with --oracle, and
+//                   requires every child to pass its oracle AND all four
+//                   invariant checksums to match.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -77,7 +77,7 @@ struct Config {
   uint64_t delayNanos = 20'000;
   bool small = false;
   bool oracle = false;        // full-trace + happens-before check per seed
-  bool differential = false;  // 5 granularity modes as child processes
+  bool differential = false;  // 4 granularity modes as child processes
   std::string emitPath;       // child->parent result file (--differential)
   std::string traceOut;       // also dump the raw trace here (--oracle)
 };
@@ -491,7 +491,7 @@ int usage(const char* argv0) {
 // --oracle and reports its invariant checksum through --emit.
 // ---------------------------------------------------------------------------
 
-const char* kDiffModes[] = {"field", "striped:4", "object", "adaptive", "versioned"};
+const char* kDiffModes[] = {"field", "striped:4", "object", "versioned"};
 
 std::string self_exe(const char* argv0) {
   char buf[4096];
@@ -517,11 +517,8 @@ bool run_differential_seed(const Config& cfg, const char* argv0, uint64_t seed) 
     const std::string emit = "/tmp/sbd_diff_" + std::to_string(getpid()) + "_" +
                              std::to_string(seed) + "_" + std::to_string(m) + ".emit";
     ::unlink(emit.c_str());
-    // A 2ms lockplan interval keeps the adaptive controller actually
-    // re-planning (stop-the-world map swaps) inside the short run.
-    r.cmd = "SBD_LOCK_GRANULARITY=" + r.mode + " SBD_LOCKPLAN_INTERVAL_MS=2 '" +
-            self + "' --seed " + std::to_string(seed) +
-            (cfg.small ? " --small" : "") + " --threads " +
+    r.cmd = "SBD_LOCK_GRANULARITY=" + r.mode + " '" + self + "' --seed " +
+            std::to_string(seed) + (cfg.small ? " --small" : "") + " --threads " +
             std::to_string(cfg.threads) + " --rate " + std::to_string(cfg.rate) +
             " --delay-ns " + std::to_string(cfg.delayNanos) +
             " --oracle --emit '" + emit + "'";
