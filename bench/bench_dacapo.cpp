@@ -15,8 +15,8 @@
 #include "common/table.h"
 #include "core/obs.h"
 #include "dacapo/harness.h"
+#include "runtime/class_info.h"
 #include "runtime/heap.h"
-#include "runtime/lockplan.h"
 #include "vtm/vtm.h"
 
 int main(int argc, char** argv) {
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const std::string only = opts.get_str("only", "");
 
   std::printf("=== DaCapo analogs (sbd variant, scale %.2f, %d threads, %s) ===\n\n",
-              scale.factor, threads, runtime::lockplan::mode_name());
+              scale.factor, threads, runtime::process_lock_map().to_string());
   TextTable t({"Benchmark", "Wall[s]", "Model[s]", "AcqRls", "Owned", "New",
                "LockBytes"});
 
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"scale\": %.3f,\n  \"threads\": %d,\n", scale.factor,
                  threads);
     std::fprintf(f, "  \"lock_granularity\": \"%s\",\n",
-                 sbd::runtime::lockplan::mode_name());
+                 sbd::runtime::process_lock_map().to_string());
     std::fprintf(f, "  \"benchmarks\": {\n");
     for (size_t i = 0; i < rows.size(); i++) {
       const auto& row = rows[i];

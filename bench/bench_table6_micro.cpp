@@ -32,18 +32,38 @@ namespace {
 
 using namespace sbd;
 
+// The class of the first four rows, under the process mode.
 class Field1 : public runtime::TypedRef<Field1> {
  public:
   SBD_CLASS(MicroField1, SBD_SLOT("value"))
   SBD_FIELD_I64(0, value)
 };
 
-// The contended-queue row: every thread write-locks the same striped
-// word, so the wait/park subsystem — not the lock fast path — is what
-// gets measured.
+// The Versioned row's class: the same single slot on the stamp map.
+class VersionedField1 : public runtime::TypedRef<VersionedField1> {
+ public:
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "MicroVersionedField1", {SBD_SLOT("value")}, {},
+        runtime::LockMap::versioned_map());
+    return ci;
+  }
+  SBD_FIELD_I64(0, value)
+};
+
+// The contended-queue row: every thread write-locks the same single
+// lock word (an object map in every process mode, so writers park),
+// so the wait/park subsystem — not the lock fast path — is what gets
+// measured.
 class HotCell : public runtime::TypedRef<HotCell> {
  public:
-  SBD_CLASS(MicroHotCell, SBD_SLOT("n"))
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "MicroHotCell", {SBD_SLOT("n")}, {}, runtime::LockMap::object_map());
+    return ci;
+  }
   SBD_FIELD_I64(0, n)
 };
 
@@ -54,7 +74,7 @@ struct ContendedResult {
   double p99WaitMs = 0;
 };
 
-// N threads hammering one striped word: increment-and-split in a tight
+// N threads hammering one lock word: increment-and-split in a tight
 // loop, so every operation re-acquires the write lock through the
 // contended path. Wait latencies come from the obs kGranted events.
 ContendedResult run_contended(int threads, uint64_t opsPerThread) {
@@ -123,9 +143,10 @@ struct MicroResult {
   double baseline, checkNew, owned, acqRls;
 };
 
-// One measurement: `ops` accesses over `numInstances` objects.
-// `effect` selects how each access behaves; `write` and `random` select
-// the pattern.
+// One measurement: `ops` accesses over `numInstances` objects of class
+// `Cell`. `effect` selects how each access behaves; `write` and
+// `random` select the pattern.
+template <typename Cell>
 double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
                    int effect) {
   std::vector<runtime::ManagedObject*> objs(numInstances);
@@ -133,7 +154,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
   run_sbd([&] {
     auto& tc = sbd::context();  // one TLS lookup for the whole measurement
     for (uint64_t i = 0; i < numInstances; i++) {
-      Field1 f = Field1::alloc();
+      Cell f = Cell::alloc();
       f.init_value(static_cast<int64_t>(i));
       objs[i] = f.raw();
     }
@@ -157,7 +178,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
         volatile int64_t sink = 0;
         for (uint64_t i = 0; i < ops; i++) {
           const uint64_t k = random ? rng.below(numInstances) : i % numInstances;
-          Field1 f(objs[k]);
+          Cell f(objs[k]);
           if (write)
             f.set_value(tc, static_cast<int64_t>(i));
           else
@@ -167,7 +188,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
       }
       case 2: {  // owned: acquire every lock once, then re-access
         for (uint64_t k = 0; k < numInstances; k++) {
-          Field1 f(objs[k]);
+          Cell f(objs[k]);
           if (write)
             f.set_value(tc, 1);
           else
@@ -177,7 +198,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
         volatile int64_t sink = 0;
         for (uint64_t i = 0; i < ops; i++) {
           const uint64_t k = random ? rng.below(numInstances) : i % numInstances;
-          Field1 f(objs[k]);
+          Cell f(objs[k]);
           if (write)
             f.set_value(tc, static_cast<int64_t>(i));
           else
@@ -189,7 +210,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
         volatile int64_t sink = 0;
         for (uint64_t i = 0; i < ops; i++) {
           const uint64_t k = random ? rng.below(numInstances) : i % numInstances;
-          Field1 f(objs[k]);
+          Cell f(objs[k]);
           if (write)
             f.set_value(tc, static_cast<int64_t>(i));
           else
@@ -198,7 +219,7 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
         }
         break;
       }
-      case 4: {  // versioned: the class is pinned to the stamp map.
+      case 4: {  // versioned: the class runs on the stamp map.
         // A versioned READ is stateless per access — stamp check plus
         // read-set append, with nothing held across accesses — so no
         // split is needed to force "re-acquisition"; every iteration
@@ -212,13 +233,13 @@ double run_pattern(uint64_t ops, uint64_t numInstances, bool write, bool random,
         volatile int64_t sink = 0;
         if (!write) {
           for (uint64_t k = 0; k < numInstances; k++)
-            sink += Field1(objs[k]).value(tc);
+            sink += Cell(objs[k]).value(tc);
           split(tc);
           sw.reset();
         }
         for (uint64_t i = 0; i < ops; i++) {
           const uint64_t k = random ? rng.below(numInstances) : i % numInstances;
-          Field1 f(objs[k]);
+          Cell f(objs[k]);
           if (write) {
             f.set_value(tc, static_cast<int64_t>(i));
             split(tc);
@@ -257,16 +278,13 @@ int main(int argc, char** argv) {
   double base[4] = {0, 0, 0, 0};
   double all[5][4];
   for (int effect = 0; effect < 5; effect++) {
-    if (effect == 4 &&
-        !set_lock_granularity(Field1::klass(), LockGranularity::kVersioned)) {
-      std::fprintf(stderr, "cannot pin the bench class to versioned\n");
-      return 1;
-    }
     double cells[4];
     int c = 0;
     for (bool write : {false, true}) {
       for (bool random : {true, false}) {
-        cells[c++] = run_pattern(ops, instances, write, random, effect);
+        cells[c++] = effect == 4
+                         ? run_pattern<VersionedField1>(ops, instances, write, random, effect)
+                         : run_pattern<Field1>(ops, instances, write, random, effect);
       }
     }
     if (effect == 0)
@@ -287,21 +305,17 @@ int main(int argc, char** argv) {
       "reads skip the lock word and land near Owned.\n");
 
   // Contended-queue row (§3.2 wait subsystem): N threads hammering one
-  // striped word. Throughput measures the park/unpark round trip; the
+  // lock word. Throughput measures the park/unpark round trip; the
   // p99 wait latency comes from the obs kGranted events.
   const int cThreads = static_cast<int>(opts.get_int("contended-threads", 16));
   const auto cOps = static_cast<uint64_t>(opts.get_int("contended-ops", 500));
   ContendedResult cr;
   if (cThreads > 0) {
-    if (!set_lock_granularity(HotCell::klass(), LockGranularity::kStriped, 1)) {
-      std::fprintf(stderr, "cannot pin the contended class to striped:1\n");
-      return 1;
-    }
     cr = run_contended(cThreads, cOps);
     const double tput =
         cr.seconds > 0 ? static_cast<double>(cOps) * cThreads / cr.seconds : 0;
     std::printf(
-        "\n=== Contended queue: %d threads x %llu ops on one striped word ===\n"
+        "\n=== Contended queue: %d threads x %llu ops on one lock word ===\n"
         "throughput %.0f ops/s, wait latency p50 %.3fms / p99 %.3fms "
         "(%llu grants)\n",
         cThreads, static_cast<unsigned long long>(cOps), tput, cr.p50WaitMs,

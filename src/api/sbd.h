@@ -21,7 +21,6 @@
 #include "core/transaction.h"
 #include "runtime/field_access.h"
 #include "runtime/heap.h"
-#include "runtime/lockplan.h"
 #include "runtime/mstring.h"
 #include "runtime/ref.h"
 #include "runtime/statics.h"
@@ -110,26 +109,6 @@ void on_commit(Fn&& action) {
     tc->txn.defer(std::function<void()>(std::forward<Fn>(action)));
   else
     action();
-}
-
-// --- Lock granularity (runtime/lockplan) ------------------------------------
-
-using runtime::LockGranularity;
-
-// Pins `cls` (a T::klass() pointer) to a granularity and applies it,
-// stopping the world if instances already exist. Returns false, with
-// the map unchanged, if the switch was vetoed by live lock state (locks
-// held right now) or the world could not be stopped within the pin
-// budget; retry once the locks are released. Process-wide defaults come
-// from SBD_LOCK_GRANULARITY.
-// LockGranularity::kVersioned runs the class on the invisible-reader
-// protocol: reads load the value plus a per-word version stamp and
-// re-validate at split/commit instead of taking locks; writes still
-// lock exclusively. Best for read-mostly hot classes (stale reads cost
-// an abort-and-retry); `stripes` is ignored for it.
-inline bool set_lock_granularity(runtime::ClassInfo* cls, LockGranularity g,
-                                 uint32_t stripes = 4) {
-  return runtime::lockplan::set_class_map(cls, runtime::lockplan::make_map(g, stripes));
 }
 
 // --- Tracing / oracle controls (core/obs) -----------------------------------

@@ -17,7 +17,6 @@
 #include "core/transaction.h"
 #include "core/watchdog.h"
 #include "runtime/class_info.h"
-#include "runtime/lockplan.h"
 #include "runtime/lockpool.h"
 #include "runtime/object.h"
 
@@ -626,10 +625,7 @@ std::string metrics_json() {
   os << "\"pooledArrays\": " << lp.pooledArrays << ", \"pooledBytes\": " << lp.pooledBytes
      << ", \"reuses\": " << lp.reuses << ", \"allocs\": " << lp.allocs;
   os << "},\n  \"lockplan\": {";
-  const runtime::lockplan::Counters lpc = runtime::lockplan::counters();
-  os << "\"mode\": \"" << runtime::lockplan::mode_name() << "\""
-     << ", \"replans\": " << lpc.replans << ", \"vetoed\": " << lpc.vetoed
-     << ", \"wedged\": " << lpc.wedged;
+  os << "\"mode\": \"" << runtime::process_lock_map().to_string() << "\"";
   os << "},\n  \"parking\": {";
   const core::ParkingLot::Counters pk = core::ParkingLot::counters();
   os << "\"parked\": " << pk.parked << ", \"spun_granted\": " << pk.spunGranted

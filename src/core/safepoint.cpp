@@ -51,7 +51,7 @@ Safepoint::SafeScope::~SafeScope() {
 
 void Safepoint::park(ThreadContext& tc) {
   // Fault site: a mutator slow to reach its safepoint, which stretches
-  // every stop-the-world (GC, sampler, granularity pin).
+  // every stop-the-world (GC, sampler).
   if (const uint64_t d = fault::fire_delay_nanos(fault::Site::kSafepointPark))
     std::this_thread::sleep_for(std::chrono::nanoseconds(d));
   spill(tc);
@@ -64,32 +64,16 @@ void Safepoint::park(ThreadContext& tc) {
 }
 
 void Safepoint::stop_world(ThreadContext& requester) {
-  const bool stopped = try_stop_world(requester, /*timeoutNanos=*/0);
-  SBD_CHECK(stopped);  // unbounded: can only return true
-}
-
-bool Safepoint::try_stop_world(ThreadContext& requester, uint64_t timeoutNanos) {
   const uint64_t t0 = now_nanos();
-  const uint64_t deadline = timeoutNanos == 0 ? 0 : t0 + timeoutNanos;
-  const auto give_up = [&] { return deadline != 0 && now_nanos() >= deadline; };
-  // While queueing behind another stopper (GC, sampler, granularity pin),
-  // the requester must count as stopped, or the incumbent waits on us
-  // forever while we wait on it: spill and go safe for the wait.
+  // While queueing behind another stopper (GC, sampler), the requester
+  // must count as stopped, or the incumbent waits on us forever while
+  // we wait on it: spill and go safe for the wait.
   spill(requester);
   requester.state.store(static_cast<int>(ThreadState::kSafe),
                         std::memory_order_release);
   std::unique_lock<std::mutex> lk(gSpMu);
   gSpCv.notify_all();
-  // The incumbent's stop counts against our budget too: a wedged GC or
-  // pin ahead of us must not wedge us as well.
-  while (gStopper != nullptr) {
-    if (give_up()) {
-      requester.state.store(static_cast<int>(ThreadState::kRunning),
-                            std::memory_order_release);
-      return false;
-    }
-    gSpCv.wait_for(lk, std::chrono::microseconds(100));
-  }
+  while (gStopper != nullptr) gSpCv.wait_for(lk, std::chrono::microseconds(100));
   requester.state.store(static_cast<int>(ThreadState::kRunning),
                         std::memory_order_release);
   gStopper = &requester;
@@ -106,20 +90,11 @@ bool Safepoint::try_stop_world(ThreadContext& requester, uint64_t timeoutNanos) 
         allStopped = false;
     });
     if (allStopped) break;  // gSpMu releases; world stays stopped via flag
-    if (give_up()) {
-      // Abandon the stop: un-request it and release whoever already
-      // parked. The world keeps running; the caller must NOT resume.
-      gStopper = nullptr;
-      stopRequested_.store(false, std::memory_order_release);
-      gSpCv.notify_all();
-      return false;
-    }
     gSpCv.wait_for(lk, std::chrono::microseconds(100));
   }
   if (obs::enabled())
     obs::record(obs::EventKind::kSafepointStop, requester.txn.id(), -1, nullptr,
                 nullptr, obs::kNoIndex, false, now_nanos() - t0);
-  return true;
 }
 
 void Safepoint::resume_world(ThreadContext& requester) {

@@ -442,13 +442,6 @@ class Safepoint {
   static void stop_world(ThreadContext& requester);
   static void resume_world(ThreadContext& requester);
 
-  // Bounded stop_world: gives up and restores the running world when
-  // `timeoutNanos` elapses (0 = unlimited) — e.g. a mutator that never
-  // reaches a poll. Returns true when the world is stopped (caller must
-  // resume_world), false when it gave up (world keeps running; do NOT
-  // resume).
-  static bool try_stop_world(ThreadContext& requester, uint64_t timeoutNanos);
-
   static bool stop_requested() {
     return stopRequested_.load(std::memory_order_relaxed);
   }

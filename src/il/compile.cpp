@@ -8,14 +8,8 @@
 #include "il/lowering.h"
 #include "tio/console.h"
 
-// Direct threading needs GNU labels-as-values; elsewhere the same
-// handler bodies run under a token switch (identical semantics, one
-// more branch per dispatch).
-#if defined(__GNUC__) || defined(__clang__)
-#define SBD_IL_THREADED 1
-#else
-#define SBD_IL_THREADED 0
-#endif
+// Direct threading uses GNU labels-as-values; the runtime already
+// requires a GNU-compatible compiler (core/fastctx.cpp is GNU asm).
 
 namespace sbd::il {
 
@@ -31,7 +25,6 @@ ManagedObject* as_obj(int64_t v) { return reinterpret_cast<ManagedObject*>(v); }
 // address directly.
 int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t* args,
                int depth, const void* const** labelsOut) {
-#if SBD_IL_THREADED
   // Order must match COp exactly.
   static const void* const labels[] = {
       &&H_kCConst,     &&H_kCMove,       &&H_kCBin,      &&H_kCNew,
@@ -48,12 +41,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     *labelsOut = labels;
     return 0;
   }
-#else
-  if (labelsOut) {
-    *labelsOut = nullptr;
-    return 0;
-  }
-#endif
 
   SBD_CHECK_MSG(depth < kMaxDepth, "IL call depth exceeded");
   CanSplitScope scope(tc, f->canSplit, f->needsScope);
@@ -90,7 +77,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
   const CInstr* base = cf->code.data();
   const CInstr* pc = base;
 
-#if SBD_IL_THREADED
 #define HANDLER(n) H_##n:
 #define DISPATCH() goto* const_cast<void*>(pc->handler)
 #define NEXT()  \
@@ -104,22 +90,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     DISPATCH();      \
   } while (0)
   DISPATCH();
-#else
-#define DISPATCH()
-#define HANDLER(n) case COp::n:
-#define NEXT() \
-  {            \
-    ++pc;      \
-    break;     \
-  }
-#define JUMP(t)      \
-  {                  \
-    pc = base + (t); \
-    break;           \
-  }
-  for (;;) {
-    switch (pc->op) {
-#endif
 
   HANDLER(kCConst) {
     locals[pc->a] = pc->imm;
@@ -307,12 +277,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     NEXT();
   }
 
-#if !SBD_IL_THREADED
-      default:
-        SBD_CHECK_MSG(false, "IL compiled dispatch: bad opcode");
-    }
-  }
-#endif
 #undef HANDLER
 #undef DISPATCH
 #undef NEXT
@@ -576,13 +540,10 @@ CompiledModule compile(const Module& m) {
   }
   for (const auto& [name, f] : m.functions) lower_fn(*f, fns, *fns[name]);
 
-  // Bind handler addresses for direct threading (no-op on non-GNU
-  // builds: the token switch reads `op` instead).
+  // Bind handler addresses for direct threading.
   const void* const* labels = labels_table();
-  if (labels != nullptr)
-    for (auto& [name, cf] : cm.functions)
-      for (CInstr& ci : cf->code)
-        ci.handler = labels[static_cast<size_t>(ci.op)];
+  for (auto& [name, cf] : cm.functions)
+    for (CInstr& ci : cf->code) ci.handler = labels[static_cast<size_t>(ci.op)];
   return cm;
 }
 

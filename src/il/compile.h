@@ -8,8 +8,7 @@
 // strips all four:
 //
 //   * each Instr is pre-decoded into a compact CInstr carrying its
-//     handler address (direct threading; token-switch fallback on
-//     non-GNU compilers),
+//     handler address (direct threading),
 //   * blocks are flattened into one code array with explicit branch
 //     instructions, fallthroughs elided,
 //   * kCall sites pre-resolve the callee to a CompiledFunction pointer,
@@ -79,7 +78,7 @@ enum class COp : uint8_t {
 // the hot fields.
 struct CInstr {
   const void* handler = nullptr;  // direct-threaded dispatch target
-  COp op = COp::kCRet;            // token fallback + label harvesting index
+  COp op = COp::kCRet;            // label harvesting index
   uint8_t sub = 0;                // BinOp (kCBin) or ElemKind (kCNewArr)
   int16_t a = -1, b = -1, c = -1;
   int32_t aux = -1;  // branch target (code index) or call-site index

@@ -160,13 +160,12 @@ bool call_may_split(const Instr& i, const Module& m) {
 // Mapped lock index, when the static class annotation and its LockMap
 // determine it: any map kind for field locks (constant field index),
 // object maps for element locks (every index hits word 0 regardless of
-// the index local's value). A later set_lock_granularity() call
-// invalidates modules optimized before it — the documented JIT-style
-// contract (SEMANTICS.md).
+// the index local's value). A class's map is fixed at registration, so
+// the index stays valid for the life of the optimized module.
 int mapped_lock_index(const Instr& i) {
   const bool isElem = i.c >= 0;
   if (i.cls == nullptr) return -1;
-  const runtime::LockMap map = i.cls->lock_map();
+  const runtime::LockMap map = i.cls->lockMap;
   if (!isElem) return static_cast<int>(map.index(static_cast<uint32_t>(i.b)));
   if (map.kind == runtime::LockMap::kObject) return 0;
   return -1;

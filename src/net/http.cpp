@@ -10,29 +10,37 @@ namespace sbd::net {
 
 namespace {
 
-// Reads a CRLF- (or LF-) terminated line byte-by-byte from `readFn`.
-bool read_line(const std::function<size_t(void*, size_t)>& readFn, std::string& out) {
+// Reads a CRLF- (or LF-) terminated line byte-by-byte from `readFn`,
+// charging every byte to `budget` (what is left of kMaxHeaderBytes).
+// kEof: the source ended before the line did.
+ReadStatus read_line(const std::function<size_t(void*, size_t)>& readFn,
+                     std::string& out, size_t& budget) {
   out.clear();
   char c;
   while (readFn(&c, 1) == 1) {
+    if (budget == 0) return ReadStatus::kTooLarge;
+    budget--;
     if (c == '\n') {
       if (!out.empty() && out.back() == '\r') out.pop_back();
-      return true;
+      return ReadStatus::kOk;
     }
     out.push_back(c);
   }
-  return false;
+  return ReadStatus::kEof;
 }
 
-// Returns true iff the header section terminated with its blank line.
-// EOF mid-headers is a truncated (unframeable) message, not a shorter
-// one — treating it as complete made a response cut off mid-write look
+// kOk iff the header section terminated with its blank line. EOF
+// mid-headers is a truncated (unframeable) message, not a shorter one
+// — treating it as complete made a response cut off mid-write look
 // parseable to the peer.
-bool parse_headers(const std::function<size_t(void*, size_t)>& readFn,
-                   HeaderMap& headers) {
+ReadStatus parse_headers(const std::function<size_t(void*, size_t)>& readFn,
+                         HeaderMap& headers, size_t& budget) {
   std::string line;
-  while (read_line(readFn, line)) {
-    if (line.empty()) return true;
+  for (;;) {
+    const ReadStatus st = read_line(readFn, line, budget);
+    if (st == ReadStatus::kTooLarge) return st;
+    if (st != ReadStatus::kOk) return ReadStatus::kBadRequest;
+    if (line.empty()) return ReadStatus::kOk;
     const auto colon = line.find(':');
     if (colon == std::string::npos) continue;
     std::string key = line.substr(0, colon);
@@ -42,7 +50,6 @@ bool parse_headers(const std::function<size_t(void*, size_t)>& readFn,
     // "Content-Length" land in (and are found at) the same slot.
     headers[key] = line.substr(v);
   }
-  return false;
 }
 
 // Parses a Content-Length value defensively: digits only, no sign, no
@@ -89,26 +96,34 @@ ReadStatus read_body(const std::function<size_t(void*, size_t)>& readFn,
 
 ReadStatus read_request_status(const std::function<size_t(void*, size_t)>& readFn,
                                HttpRequest& out, size_t maxBody) {
+  size_t budget = kMaxHeaderBytes;
   std::string line;
-  if (!read_line(readFn, line) || line.empty()) return ReadStatus::kEof;
+  const ReadStatus st = read_line(readFn, line, budget);
+  if (st == ReadStatus::kTooLarge) return st;
+  if (st != ReadStatus::kOk || line.empty()) return ReadStatus::kEof;
   std::istringstream ls(line);
   std::string version;
   ls >> out.method >> out.path >> version;
   if (out.method.empty() || out.path.empty() || version.empty())
     return ReadStatus::kBadRequest;  // truncated start-line ("GET /x")
-  if (!parse_headers(readFn, out.headers)) return ReadStatus::kBadRequest;
+  const ReadStatus hs = parse_headers(readFn, out.headers, budget);
+  if (hs != ReadStatus::kOk) return hs;
   return read_body(readFn, out.headers, maxBody, out.body);
 }
 
 ReadStatus read_response_status(const std::function<size_t(void*, size_t)>& readFn,
                                 HttpResponse& out, size_t maxBody) {
+  size_t budget = kMaxHeaderBytes;
   std::string line;
-  if (!read_line(readFn, line) || line.empty()) return ReadStatus::kEof;
+  const ReadStatus st = read_line(readFn, line, budget);
+  if (st == ReadStatus::kTooLarge) return st;
+  if (st != ReadStatus::kOk || line.empty()) return ReadStatus::kEof;
   std::istringstream ls(line);
   std::string version;
   ls >> version >> out.status;
   if (version.empty() || out.status <= 0) return ReadStatus::kBadRequest;
-  if (!parse_headers(readFn, out.headers)) return ReadStatus::kBadRequest;
+  const ReadStatus hs = parse_headers(readFn, out.headers, budget);
+  if (hs != ReadStatus::kOk) return hs;
   return read_body(readFn, out.headers, maxBody, out.body);
 }
 

@@ -38,6 +38,11 @@ using HeaderMap = std::map<std::string, std::string, HeaderLess>;
 // their own cap to read_request_status.
 inline constexpr size_t kMaxBodyBytes = 1u << 20;  // 1 MiB
 
+// Hard cap on the start line plus header section, line terminators
+// included: a peer that never sends '\n' must not grow the line buffer
+// (and a serve worker's socket replay buffer) without bound.
+inline constexpr size_t kMaxHeaderBytes = 64u << 10;  // 64 KiB
+
 struct HttpRequest {
   std::string method;
   std::string path;
@@ -58,7 +63,8 @@ enum class ReadStatus {
   kEof,         // clean EOF before the first byte (peer closed)
   kBadRequest,  // malformed start-line or Content-Length (non-numeric,
                 // negative, overflow): connection framing is lost
-  kTooLarge,    // Content-Length exceeded the body cap
+  kTooLarge,    // Content-Length exceeded the body cap, or the start
+                // line plus headers exceeded kMaxHeaderBytes
 };
 
 // Reads one request from `readFn` (a blocking byte source), enforcing

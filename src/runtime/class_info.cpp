@@ -1,10 +1,12 @@
 #include "runtime/class_info.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 
 #include "common/check.h"
 #include "runtime/heap.h"
-#include "runtime/lockplan.h"
 #include "runtime/object.h"
 
 namespace sbd::runtime {
@@ -15,14 +17,37 @@ std::vector<ClassInfo*>& class_list() {
   static std::vector<ClassInfo*> list;
   return list;
 }
+
+LockMap parse_lock_granularity() {
+  const char* e = std::getenv("SBD_LOCK_GRANULARITY");
+  if (!e || !*e || std::strcmp(e, "field") == 0) return LockMap::field_map();
+  if (std::strcmp(e, "object") == 0) return LockMap::object_map();
+  if (std::strcmp(e, "versioned") == 0) return LockMap::versioned_map();
+  std::fprintf(stderr, "sbd: unknown SBD_LOCK_GRANULARITY '%s'; using field\n", e);
+  return LockMap::field_map();
+}
+
+// Adds a fully built class to the class list. The map was written
+// before this point, so no instance is ever allocated under another.
+ClassInfo* publish(ClassInfo* ci) {
+  std::lock_guard<std::mutex> lk(gClassMu);
+  class_list().push_back(ci);
+  return ci;
+}
 }  // namespace
 
+LockMap process_lock_map() {
+  static const LockMap m = parse_lock_granularity();
+  return m;
+}
+
 ClassInfo* register_class(const std::string& name, const std::vector<SlotDesc>& slots,
-                          const std::vector<SlotDesc>& staticSlots) {
+                          const std::vector<SlotDesc>& staticSlots, LockMap map) {
   SBD_CHECK_MSG(slots.size() <= kMaxSlots, "too many instance slots");
   SBD_CHECK_MSG(staticSlots.size() <= kMaxSlots, "too many static slots");
   auto* ci = new ClassInfo();
   ci->name = name;
+  ci->lockMap = map;
   ci->slotCount = static_cast<uint32_t>(slots.size());
   for (uint32_t i = 0; i < ci->slotCount; i++) {
     if (slots[i].isRef) ci->refMask |= 1ULL << i;
@@ -36,16 +61,11 @@ ClassInfo* register_class(const std::string& name, const std::vector<SlotDesc>& 
   if (ci->staticSlotCount > 0) {
     // The statics holder is itself a managed object so static accesses
     // get field-granularity locking. It is registered pre-transactionally.
-    // (Its synthetic ::statics class is not in the class list, so it
-    // keeps the default field map forever.)
+    // (Its synthetic ::statics class is not in the class list and
+    // always uses the field map.)
     ci->statics = Heap::instance().alloc_statics_holder(ci);
   }
-  // Applies the SBD_LOCK_GRANULARITY initial map; must precede
-  // publication — no instance may be allocated under the default map.
-  lockplan::on_class_registered(ci);
-  std::lock_guard<std::mutex> lk(gClassMu);
-  class_list().push_back(ci);
-  return ci;
+  return publish(ci);
 }
 
 void for_each_class(const std::function<void(ClassInfo*)>& fn) {
@@ -54,18 +74,16 @@ void for_each_class(const std::function<void(ClassInfo*)>& fn) {
 }
 
 ClassInfo* array_class(ElemKind kind) {
-  // Array classes go through the same registration hook and class list
-  // as named classes (the GC statics walk tolerates their
+  // Array classes run under the process mode and share the class list
+  // with named classes (the GC statics walk tolerates their
   // statics == nullptr).
   auto make = [](const char* name, ElemKind k) {
     auto* c = new ClassInfo();
     c->name = name;
     c->isArray = true;
     c->elemKind = k;
-    lockplan::on_class_registered(c);
-    std::lock_guard<std::mutex> lk(gClassMu);
-    class_list().push_back(c);
-    return c;
+    c->lockMap = process_lock_map();
+    return publish(c);
   };
   static ClassInfo* i8 = make("byte[]", ElemKind::kI8);
   static ClassInfo* i64 = make("long[]", ElemKind::kI64);

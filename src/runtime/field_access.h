@@ -68,9 +68,8 @@ inline const uint64_t* covered_word(ManagedObject* o, uint64_t slot) {
 }
 
 // Versioned maps are identity by construction (one stamp per natural
-// index), so the stamp index skips the generic lock_map() decode that
-// lock_index() pays — on the invisible-read fast path that decode and
-// its out-of-line call are measurable.
+// index), so the stamp index skips lock_index()'s out-of-line call —
+// measurable on the invisible-read fast path.
 inline uint32_t versioned_lock_index(const ManagedObject* o, uint64_t slot) {
   if (o->h.cls->isArray && o->h.cls->elemKind == ElemKind::kI8)
     return static_cast<uint32_t>(slot / kI8LockStride);
@@ -145,7 +144,7 @@ inline void tx_lock_read(core::ThreadContext& tc, ManagedObject* o, uint64_t slo
     return;
   }
   lp = detail::locks_or_materialize(tc, o, lp);  // (2)
-  if (o->h.cls->lock_map().versioned()) {
+  if (o->h.cls->lockMap.versioned()) {
     // Direct kLock callers (the IL interpreter) follow up with raw
     // non-atomic slot accesses (kGetFNl/kSetFNl) that an invisible
     // read cannot make safe, so a versioned kLock takes the covered
@@ -181,7 +180,7 @@ inline void tx_lock_write(core::ThreadContext& tc, ManagedObject* o, uint64_t sl
     return;  // new instance: no locking, no undo (discarded on abort)
   }
   lp = detail::locks_or_materialize(tc, o, lp);  // (2)
-  if (o->h.cls->lock_map().versioned()) {
+  if (o->h.cls->lockMap.versioned()) {
     if (core::LockEngine::versioned_acquire_write(
             tc, o, lp + detail::versioned_lock_index(o, slot)))
       tc.txn.log_undo(o, valueSlot,
@@ -199,7 +198,7 @@ inline void tx_lock_write(core::ThreadContext& tc, ManagedObject* o, uint64_t sl
     // implication (the word covers several slots), so log the slot on
     // every owned hit — duplicates are safe, the undo replay is
     // newest-first and re-applies the oldest value last.
-    if (!o->h.cls->lock_map().identity()) tc.txn.log_undo(o, valueSlot, *valueSlot);
+    if (!o->h.cls->lockMap.identity()) tc.txn.log_undo(o, valueSlot, *valueSlot);
     return;
   }
   core::LockEngine::acquire_write(tc, o, word);
@@ -211,7 +210,7 @@ inline void tx_lock_write(core::ThreadContext& tc, ManagedObject* o, uint64_t sl
 inline uint64_t tx_read(core::ThreadContext& tc, ManagedObject* o, uint32_t slot) {
   SBD_DCHECK(!o->is_array() && slot < o->h.cls->slotCount);
   SBD_DCHECK(!o->h.cls->slot_is_final(slot));
-  if (o->h.cls->lock_map().versioned())
+  if (o->h.cls->lockMap.versioned())
     return detail::versioned_read_word(tc, o, slot, &o->slots()[slot]);
   tx_lock_read(tc, o, slot);
   return o->slots()[slot];
@@ -221,7 +220,7 @@ inline void tx_write(core::ThreadContext& tc, ManagedObject* o, uint32_t slot,
                      uint64_t v) {
   SBD_DCHECK(!o->is_array() && slot < o->h.cls->slotCount);
   SBD_DCHECK(!o->h.cls->slot_is_final(slot));
-  if (o->h.cls->lock_map().versioned()) {
+  if (o->h.cls->lockMap.versioned()) {
     detail::versioned_write_word(tc, o, slot, &o->slots()[slot])
         ->store(v, std::memory_order_relaxed);
     return;
@@ -258,7 +257,7 @@ inline void init_write(ManagedObject* o, uint32_t slot, uint64_t v) {
 
 inline uint64_t tx_read_elem(core::ThreadContext& tc, ManagedObject* a, uint64_t idx) {
   SBD_DCHECK(a->is_array() && idx < a->array_length());
-  if (a->h.cls->lock_map().versioned())
+  if (a->h.cls->lockMap.versioned())
     return detail::versioned_read_word(tc, a, idx, &a->array_data()[idx]);
   tx_lock_read(tc, a, idx);
   return a->array_data()[idx];
@@ -267,7 +266,7 @@ inline uint64_t tx_read_elem(core::ThreadContext& tc, ManagedObject* a, uint64_t
 inline void tx_write_elem(core::ThreadContext& tc, ManagedObject* a, uint64_t idx,
                           uint64_t v) {
   SBD_DCHECK(a->is_array() && idx < a->array_length());
-  if (a->h.cls->lock_map().versioned()) {
+  if (a->h.cls->lockMap.versioned()) {
     detail::versioned_write_word(tc, a, idx, &a->array_data()[idx])
         ->store(v, std::memory_order_relaxed);
     return;
@@ -287,7 +286,7 @@ inline void tx_write_elem(ManagedObject* a, uint64_t idx, uint64_t v) {
 inline int8_t tx_read_i8(core::ThreadContext& tc, ManagedObject* a, uint64_t idx) {
   SBD_DCHECK(a->is_array() && a->h.cls->elemKind == ElemKind::kI8 &&
              idx < a->array_length());
-  if (a->h.cls->lock_map().versioned()) {
+  if (a->h.cls->lockMap.versioned()) {
     // The validated value is the whole covered 64-bit word; extract the
     // byte from the local copy (memcpy reproduces memory byte order, so
     // this matches array_data_i8()[idx] on any endianness).
@@ -308,7 +307,7 @@ inline void tx_write_i8(core::ThreadContext& tc, ManagedObject* a, uint64_t idx,
   SBD_DCHECK(a->is_array() && a->h.cls->elemKind == ElemKind::kI8 &&
              idx < a->array_length());
   uint64_t* wordSlot = a->array_data() + idx / 8;
-  if (a->h.cls->lock_map().versioned()) {
+  if (a->h.cls->lockMap.versioned()) {
     // Exclusive lock + undo on the containing word; then a byte-wide
     // atomic store (invisible readers load the word atomically, so the
     // store must be atomic too — the mixed widths are fine, readers

@@ -257,25 +257,6 @@ ManagedObject* Heap::find_object(const void* p) {
   return o;
 }
 
-void Heap::for_each_object(const std::function<void(ManagedObject*)>& fn) {
-  // The caller has the world stopped; the lock is cheap insurance
-  // against non-SBD threads poking at allocation state.
-  std::lock_guard<std::mutex> lk(heapMu_);
-  for (Chunk* c : allChunks_) {
-    const size_t limit = c->bump;
-    for (size_t w = 0; w < Chunk::kBitmapWords; w++) {
-      uint64_t bits = c->startBits[w];
-      while (bits) {
-        const int bit = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        const size_t off = (w * 64 + static_cast<size_t>(bit)) * Chunk::kGranule;
-        if (off >= limit) break;
-        fn(reinterpret_cast<ManagedObject*>(c->base + off));
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Collection
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -76,12 +75,6 @@ class Heap {
   // returns the object start, else nullptr. Used by the GC scan and by
   // tests.
   ManagedObject* find_object(const void* p);
-
-  // Enumerates every allocated object — live or dead-but-unswept (the
-  // lock-granularity pin must migrate garbage too, so the sweep's
-  // release width always matches the map the array was sized under).
-  // Caller must have the world stopped.
-  void for_each_object(const std::function<void(ManagedObject*)>& fn);
 
   // Total payload+header size a (cls) instance needs.
   static size_t object_size(const ClassInfo* cls);

@@ -28,11 +28,11 @@ uint32_t natural_lock_index(const ManagedObject* o, uint64_t slot) {
 }  // namespace
 
 uint32_t lock_count(const ManagedObject* o) {
-  return o->h.cls->lock_map().width(natural_lock_count(o));
+  return o->h.cls->lockMap.width(natural_lock_count(o));
 }
 
 uint32_t lock_index(const ManagedObject* o, uint64_t slot) {
-  return o->h.cls->lock_map().index(natural_lock_index(o, slot));
+  return o->h.cls->lockMap.index(natural_lock_index(o, slot));
 }
 
 core::LockWord* materialize_locks(ManagedObject* o) {
@@ -47,7 +47,7 @@ core::LockWord* materialize_locks(ManagedObject* o) {
     // keeping Table 8 byte-exact across the pool change. Versioned
     // stamp words are metadata of a different kind (no queues, no
     // member bits) and get their own Table 8 column.
-    auto& gauge = o->h.cls->lock_map().versioned() ? core::gauges().versionWordBytes
+    auto& gauge = o->h.cls->lockMap.versioned() ? core::gauges().versionWordBytes
                                                    : core::gauges().lockStructBytes;
     gauge.fetch_add(n * sizeof(core::LockWord), std::memory_order_relaxed);
     return fresh;
@@ -65,7 +65,7 @@ void release_locks(ManagedObject* o) {
   core::LockWord* lp = o->locks.load(std::memory_order_acquire);
   if (lp != nullptr && lp != kUnalloc) {
     const uint32_t n = lock_count(o);
-    auto& gauge = o->h.cls->lock_map().versioned() ? core::gauges().versionWordBytes
+    auto& gauge = o->h.cls->lockMap.versioned() ? core::gauges().versionWordBytes
                                                    : core::gauges().lockStructBytes;
     gauge.fetch_sub(n * sizeof(core::LockWord), std::memory_order_relaxed);
     LockPool::instance().release(lp, n);

@@ -11,9 +11,17 @@
 namespace sbd {
 namespace {
 
+// Field map in every process mode: the deadlock tests below need
+// writers that wait on each other, and a versioned writer aborts on a
+// held word instead of waiting.
 class Cell : public runtime::TypedRef<Cell> {
  public:
-  SBD_CLASS(InevCell, SBD_SLOT("v"))
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "InevCell", {SBD_SLOT("v")}, {}, runtime::LockMap::field_map());
+    return ci;
+  }
   SBD_FIELD_I64(0, v)
 };
 

@@ -3,8 +3,8 @@
 // split-aborts — recorded under full trace and proven serializable by
 // the happens-before checker. Registered once per lock-granularity
 // mode in tests/CMakeLists.txt (the mode is parsed once per process),
-// so the same invariant holds under field, striped, object, and
-// versioned maps.
+// so the same invariant holds under field, object, and versioned
+// maps.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -28,6 +28,27 @@ class Cell : public runtime::TypedRef<Cell> {
   }
 };
 
+// The Fig. 5 lock-counting and deadlock tests assert the lock-taking
+// protocol, so their class keeps the field map in every process mode
+// (a versioned read takes no lock; a versioned writer aborts on a held
+// word instead of waiting).
+class LockedCell : public runtime::TypedRef<LockedCell> {
+ public:
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "LockedCell", {SBD_SLOT("value")}, {}, runtime::LockMap::field_map());
+    return ci;
+  }
+  SBD_FIELD_I64(0, value)
+
+  static LockedCell make(int64_t v) {
+    LockedCell c = alloc();
+    c.init_value(v);
+    return c;
+  }
+};
+
 TEST(Stm, ReadWriteWithinSection) {
   runtime::GlobalRoot<Cell> root;
   run_sbd([&] {
@@ -53,13 +74,13 @@ TEST(Stm, NewInstanceAccessesNeedNoLock) {
 }
 
 TEST(Stm, EscapedInstanceLocksOnFirstAccess) {
-  runtime::GlobalRoot<Cell> root;
+  runtime::GlobalRoot<LockedCell> root;
   run_sbd([&] {
-    root.set(Cell::make(7));
+    root.set(LockedCell::make(7));
     split();  // instance escapes: locks flip to UNALLOC
     auto& tc = tls_context();
     const auto before = tc.stats;
-    Cell c = root.get();
+    LockedCell c = root.get();
     EXPECT_EQ(c.value(), 7);
     const auto after = tc.stats;
     EXPECT_EQ(after.lockInit - before.lockInit, 1u);
@@ -68,11 +89,11 @@ TEST(Stm, EscapedInstanceLocksOnFirstAccess) {
 }
 
 TEST(Stm, RepeatAccessIsOwnedCheckOnly) {
-  runtime::GlobalRoot<Cell> root;
+  runtime::GlobalRoot<LockedCell> root;
   run_sbd([&] {
-    root.set(Cell::make(1));
+    root.set(LockedCell::make(1));
     split();
-    Cell c = root.get();
+    LockedCell c = root.get();
     (void)c.value();  // acquires the read lock
     auto& tc = tls_context();
     const auto before = tc.stats;
@@ -251,10 +272,10 @@ TEST(Stm, OpacityReadersSeeConsistentPairs) {
 }
 
 TEST(Stm, DeadlockIsResolvedByAbortingYoungest) {
-  runtime::GlobalRoot<Cell> a, b;
+  runtime::GlobalRoot<LockedCell> a, b;
   run_sbd([&] {
-    a.set(Cell::make(0));
-    b.set(Cell::make(0));
+    a.set(LockedCell::make(0));
+    b.set(LockedCell::make(0));
   });
   std::atomic<int> phase{0};
   const auto statsBefore = TxnManager::instance().snapshot_stats();

@@ -14,9 +14,16 @@
 namespace sbd {
 namespace {
 
+// Field map in every process mode: the watchdog watches lock waits, and
+// a versioned writer aborts on a held word instead of waiting.
 class Cell : public runtime::TypedRef<Cell> {
  public:
-  SBD_CLASS(WatchdogCell, SBD_SLOT("v"))
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "WatchdogCell", {SBD_SLOT("v")}, {}, runtime::LockMap::field_map());
+    return ci;
+  }
   SBD_FIELD_I64(0, v)
 };
 

@@ -4,8 +4,8 @@
 // interpreter and the threaded-code backend, and full traces of both
 // must pass the happens-before oracle. Registered once per
 // lock-granularity mode in tests/CMakeLists.txt (the mode is parsed
-// once per process), so bit-identity holds under field, striped,
-// object, and versioned maps.
+// once per process), so bit-identity holds under field, object, and
+// versioned maps.
 //
 // Also the home of the interprocedural-elimination unit tests
 // (compute_summaries, crossCallEliminated, optimize() fixpoint) and the

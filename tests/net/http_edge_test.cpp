@@ -51,6 +51,26 @@ TEST(HttpEdge, BodyLengthRespected) {
   EXPECT_EQ(back.body[999], 'x');
 }
 
+TEST(HttpEdge, OversizedHeaderSectionIsTooLarge) {
+  // A 128 KiB header line: the reader stops at kMaxHeaderBytes instead
+  // of buffering until the peer sends '\n'.
+  const std::string wire =
+      "GET / HTTP/1.1\r\nX-Big: " + std::string(128 << 10, 'a') + "\r\n\r\n";
+  auto pos = std::make_shared<size_t>(0);
+  HttpRequest req;
+  EXPECT_EQ(read_request_status(string_source(wire, pos), req), ReadStatus::kTooLarge);
+  EXPECT_LE(*pos, kMaxHeaderBytes + 1);
+  // The cap covers the start line too, and responses alike.
+  const std::string longStart = "GET /" + std::string(128 << 10, 'p') + " HTTP/1.1\r\n\r\n";
+  pos = std::make_shared<size_t>(0);
+  EXPECT_EQ(read_request_status(string_source(longStart, pos), req), ReadStatus::kTooLarge);
+  const std::string longResp =
+      "HTTP/1.1 200 OK\r\nX-Big: " + std::string(128 << 10, 'r') + "\r\n\r\n";
+  pos = std::make_shared<size_t>(0);
+  HttpResponse resp;
+  EXPECT_EQ(read_response_status(string_source(longResp, pos), resp), ReadStatus::kTooLarge);
+}
+
 TEST(HttpEdge, TruncatedBodyReturnsWhatArrived) {
   const std::string wire = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
   auto pos = std::make_shared<size_t>(0);

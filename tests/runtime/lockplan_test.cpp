@@ -1,18 +1,18 @@
-// LockMap + lockplan, fixed modes (SBD_LOCK_GRANULARITY unset → field).
+// LockMap and the per-class map fixed at registration. ctest runs this
+// binary under SBD_LOCK_GRANULARITY=field and again under the removed
+// value striped:4, which must warn and run as field.
 //
-// Covers: the LockMap width/index/bits algebra, lock_count/lock_index
-// following the class map, stop-the-world pins with the live-lock-state
-// veto and the bounded stop, and the Table 8 "Locks" gauge reporting
-// semantic *mapped* bytes — not pooled capacity — under all three
-// granularities (the MemorySampler reads the same gauge).
+// Covers: the LockMap width/index algebra, lock_count/lock_index
+// following the class map, a map passed to register_class overriding
+// the process mode, and the Table 8 "Locks" gauge reporting semantic
+// *mapped* bytes — not pooled capacity — per granularity (the
+// MemorySampler reads the same gauge).
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <vector>
 
 #include "api/sbd.h"
-#include "common/timing.h"
 #include "core/stats.h"
-#include "runtime/lockplan.h"
 #include "runtime/object.h"
 
 namespace sbd {
@@ -26,29 +26,20 @@ TEST(LockMap, WidthAndIndexPerKind) {
   EXPECT_EQ(f.width(6), 6u);
   EXPECT_EQ(f.index(5), 5u);
 
-  const LockMap s = LockMap::striped_map(4);
-  EXPECT_FALSE(s.identity());
-  EXPECT_EQ(s.width(6), 4u);
-  EXPECT_EQ(s.width(3), 3u);  // never wider than the natural count
-  EXPECT_EQ(s.index(5), 1u);
-  EXPECT_EQ(s.index(4), 0u);
-
   const LockMap o = LockMap::object_map();
+  EXPECT_FALSE(o.identity());
   EXPECT_EQ(o.width(6), 1u);
   EXPECT_EQ(o.width(0), 0u);  // lock-free stays lock-free
   EXPECT_EQ(o.index(5), 0u);
+
+  const LockMap v = LockMap::versioned_map();
+  EXPECT_EQ(v.width(6), 6u);
+  EXPECT_EQ(v.index(5), 5u);
 }
 
-TEST(LockMap, BitsRoundTripAndFieldPacksToZero) {
-  // Zero-initialized ClassInfo::lockMapBits must mean "field".
-  EXPECT_EQ(LockMap::field_map().bits(), 0u);
-  for (const LockMap m : {LockMap::field_map(), LockMap::striped_map(7),
-                          LockMap::object_map()}) {
-    EXPECT_EQ(LockMap::from_bits(m.bits()), m) << m.to_string();
-  }
-  // Degenerate stripe counts clamp instead of dividing by zero.
-  EXPECT_EQ(LockMap::striped_map(0).stripes, 1u);
-}
+const std::vector<runtime::SlotDesc> kSixSlots = {
+    SBD_SLOT("s0"), SBD_SLOT("s1"), SBD_SLOT("s2"),
+    SBD_SLOT("s3"), SBD_SLOT("s4"), SBD_SLOT("s5")};
 
 class Six : public runtime::TypedRef<Six> {
  public:
@@ -58,116 +49,72 @@ class Six : public runtime::TypedRef<Six> {
   SBD_FIELD_I64(5, s5)
 };
 
-TEST(LockPlan, InstanceWidthFollowsTheClassMap) {
-  runtime::GlobalRoot<Six> root;
+// The same six slots, registered with a fixed map whatever the
+// process mode.
+class SixObject : public runtime::TypedRef<SixObject> {
+ public:
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "LockPlanSixObject", kSixSlots, {}, LockMap::object_map());
+    return ci;
+  }
+  SBD_FIELD_I64(0, s0)
+  SBD_FIELD_I64(5, s5)
+};
+class SixVersioned : public runtime::TypedRef<SixVersioned> {
+ public:
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "LockPlanSixVersioned", kSixSlots, {}, LockMap::versioned_map());
+    return ci;
+  }
+  SBD_FIELD_I64(0, s0)
+  SBD_FIELD_I64(5, s5)
+};
+
+template <typename T>
+runtime::ManagedObject* make_published(runtime::GlobalRoot<T>& root) {
   run_sbd([&] {
-    Six x = Six::alloc();
+    T x = T::alloc();
     x.init_s0(1);
     root.set(x);
   });
-  runtime::ManagedObject* o = root.get().raw();
-  EXPECT_EQ(runtime::lock_count(o), 6u);
-  EXPECT_EQ(runtime::lock_index(o, 5), 5u);
-
-  EXPECT_TRUE(set_lock_granularity(Six::klass(), LockGranularity::kObject));
-  EXPECT_EQ(runtime::lock_count(o), 1u);
-  EXPECT_EQ(runtime::lock_index(o, 5), 0u);
-
-  EXPECT_TRUE(set_lock_granularity(Six::klass(), LockGranularity::kStriped, 4));
-  EXPECT_EQ(runtime::lock_count(o), 4u);
-  EXPECT_EQ(runtime::lock_index(o, 5), 1u);
-
-  // And back to the faithful default.
-  EXPECT_TRUE(set_lock_granularity(Six::klass(), LockGranularity::kField));
-  EXPECT_EQ(runtime::lock_count(o), 6u);
+  return root.get().raw();
 }
 
-class VetoCell : public runtime::TypedRef<VetoCell> {
- public:
-  SBD_CLASS(LockPlanVeto, SBD_SLOT("v"))
-  SBD_FIELD_I64(0, v)
-};
-
-TEST(LockPlan, LiveLockStateVetoesThenRetrySucceeds) {
-  runtime::GlobalRoot<VetoCell> root;
-  const auto before = runtime::lockplan::counters();
-  run_sbd([&] {
-    VetoCell c = VetoCell::alloc();
-    c.init_v(0);
-    root.set(c);
-    split();             // commit allocation; locks go lazy
-    c.set_v(1);          // acquire the write lock -> live lock state
-    // The word is held by this very transaction, so the switch must be
-    // refused (a migration would drop the held lock on the floor).
-    EXPECT_FALSE(set_lock_granularity(VetoCell::klass(), LockGranularity::kObject));
-    EXPECT_TRUE(VetoCell::klass()->lock_map().identity());  // map unchanged
-  });
-  const auto mid = runtime::lockplan::counters();
-  EXPECT_GT(mid.vetoed, before.vetoed);
-  // The section committed and released the lock: a retry applies.
-  EXPECT_TRUE(set_lock_granularity(VetoCell::klass(), LockGranularity::kObject));
-  EXPECT_EQ(VetoCell::klass()->lock_map(), LockMap::object_map());
-  EXPECT_GT(runtime::lockplan::counters().replans, mid.replans);
+TEST(LockPlan, InstanceWidthFollowsTheClassMap) {
+  runtime::GlobalRoot<Six> f;
+  runtime::GlobalRoot<SixObject> o;
+  runtime::GlobalRoot<SixVersioned> v;
+  runtime::ManagedObject* fo = make_published(f);
+  runtime::ManagedObject* oo = make_published(o);
+  runtime::ManagedObject* vo = make_published(v);
+  EXPECT_EQ(runtime::lock_count(fo), 6u);
+  EXPECT_EQ(runtime::lock_index(fo, 5), 5u);
+  EXPECT_EQ(runtime::lock_count(oo), 1u);
+  EXPECT_EQ(runtime::lock_index(oo, 5), 0u);
+  EXPECT_EQ(runtime::lock_count(vo), 6u);
+  EXPECT_EQ(runtime::lock_index(vo, 5), 5u);
 }
 
-// An SBD-attached thread that spins on a plain atomic: it performs no
-// SBD access, so it never polls a safepoint — a deterministic wedge.
-// The constructor waits until the thread is attached AND inside the
-// spin loop; a stop-the-world begun before registration would not see
-// the thread and succeed vacuously.
-struct WedgedMutator {
-  std::atomic<bool> spin{true};
-  std::atomic<bool> started{false};
-  SbdThread thread;
-  WedgedMutator()
-      : thread([this] {
-          started.store(true, std::memory_order_release);
-          while (spin.load(std::memory_order_acquire)) {
-          }
-        }) {
-    thread.start();
-    while (!started.load(std::memory_order_acquire)) {
-    }
-  }
-  ~WedgedMutator() {
-    spin.store(false, std::memory_order_release);
-    thread.join();
-  }
-};
-
-TEST(LockPlan, PinGivesUpWhenTheWorldCannotStop) {
-  runtime::ClassInfo* ci =
-      runtime::register_class("LockPlanWedged", {SBD_SLOT("a"), SBD_SLOT("b")});
-  const auto before = runtime::lockplan::counters();
-  {
-    WedgedMutator wedge;
-    const uint64_t t0 = now_nanos();
-    EXPECT_FALSE(set_lock_granularity(ci, LockGranularity::kObject));
-    EXPECT_LT(now_nanos() - t0, 2 * runtime::lockplan::kPinStopBudgetNanos)
-        << "the stop must give up at its budget";
-  }
-  EXPECT_TRUE(ci->lock_map().identity());  // map unchanged
-  EXPECT_GT(runtime::lockplan::counters().wedged, before.wedged);
-}
-
-// One 6-slot class per granularity — granularity pins are per-class
-// state, so each case needs a fresh ClassInfo.
+// One 6-slot class per granularity, so each case materializes fresh
+// lock arrays.
 class GaugeF : public runtime::TypedRef<GaugeF> {
  public:
   SBD_CLASS(LockPlanGaugeF, SBD_SLOT("s0"), SBD_SLOT("s1"), SBD_SLOT("s2"),
             SBD_SLOT("s3"), SBD_SLOT("s4"), SBD_SLOT("s5"))
   SBD_FIELD_I64(0, s0)
 };
-class GaugeS : public runtime::TypedRef<GaugeS> {
- public:
-  SBD_CLASS(LockPlanGaugeS, SBD_SLOT("s0"), SBD_SLOT("s1"), SBD_SLOT("s2"),
-            SBD_SLOT("s3"), SBD_SLOT("s4"), SBD_SLOT("s5"))
-  SBD_FIELD_I64(0, s0)
-};
 class GaugeO : public runtime::TypedRef<GaugeO> {
  public:
-  SBD_CLASS(LockPlanGaugeO, SBD_SLOT("s0"), SBD_SLOT("s1"), SBD_SLOT("s2"),
-            SBD_SLOT("s3"), SBD_SLOT("s4"), SBD_SLOT("s5"))
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "LockPlanGaugeO", kSixSlots, {}, LockMap::object_map());
+    return ci;
+  }
   SBD_FIELD_I64(0, s0)
 };
 
@@ -182,49 +129,57 @@ uint64_t materialized_bytes(runtime::GlobalRoot<T>& root) {
 
 // Table 8 "Locks" audit: the gauge reports one word per MAPPED lock —
 // the semantic footprint the paper's table counts — not the pool's
-// rounded capacity, under all three granularities.
+// rounded capacity.
 TEST(LockPlan, Table8GaugeCountsMappedBytes) {
   runtime::GlobalRoot<GaugeF> f;
-  runtime::GlobalRoot<GaugeS> s;
   runtime::GlobalRoot<GaugeO> o;
-  ASSERT_TRUE(set_lock_granularity(GaugeS::klass(), LockGranularity::kStriped, 4));
-  ASSERT_TRUE(set_lock_granularity(GaugeO::klass(), LockGranularity::kObject));
-  run_sbd([&] {
-    GaugeF a = GaugeF::alloc();
-    a.init_s0(0);
-    f.set(a);
-    GaugeS b = GaugeS::alloc();
-    b.init_s0(0);
-    s.set(b);
-    GaugeO c = GaugeO::alloc();
-    c.init_s0(0);
-    o.set(c);
-  });
+  make_published(f);
+  make_published(o);
   EXPECT_EQ(materialized_bytes(f), 6 * sizeof(core::LockWord));
-  EXPECT_EQ(materialized_bytes(s), 4 * sizeof(core::LockWord));
   EXPECT_EQ(materialized_bytes(o), 1 * sizeof(core::LockWord));
+}
 
-  // A pin releases the survivors' arrays under the OLD map, so the
-  // gauge stays byte-exact across the swap: the field-width bytes come
-  // off now and the object-width bytes go on at next materialization.
-  const uint64_t before = core::gauges().lockStructBytes.load();
-  ASSERT_TRUE(set_lock_granularity(GaugeF::klass(), LockGranularity::kObject));
-  EXPECT_EQ(before - core::gauges().lockStructBytes.load(),
-            6 * sizeof(core::LockWord));
-  EXPECT_EQ(materialized_bytes(f), 1 * sizeof(core::LockWord));
+// A map passed to register_class wins over the process mode (field
+// here) and stays: width, gauge column and map are those it was
+// registered with, across committed writes.
+TEST(LockPlan, RegisteredMapOverridesTheProcessMode) {
+  ASSERT_EQ(runtime::process_lock_map(), LockMap::field_map());
+  runtime::GlobalRoot<SixObject> o;
+  runtime::GlobalRoot<SixVersioned> v;
+  make_published(o);
+  make_published(v);
+  core::GlobalGauges& g = core::gauges();
+
+  EXPECT_EQ(materialized_bytes(o), 1 * sizeof(core::LockWord));
+  const uint64_t locksBefore = g.lockStructBytes.load();
+  const uint64_t stampsBefore = g.versionWordBytes.load();
+  run_sbd([&] { (void)v.get().s0(); });
+  EXPECT_EQ(g.lockStructBytes.load(), locksBefore);
+  EXPECT_EQ(g.versionWordBytes.load() - stampsBefore, 6 * sizeof(core::LockWord));
+
+  run_sbd([&] {
+    o.get().set_s5(2);
+    v.get().set_s5(3);
+    split();
+    EXPECT_EQ(o.get().s5() + v.get().s5(), 5);
+  });
+  EXPECT_EQ(SixObject::klass()->lockMap, LockMap::object_map());
+  EXPECT_EQ(SixVersioned::klass()->lockMap, LockMap::versioned_map());
+  EXPECT_EQ(runtime::lock_count(o.get().raw()), 1u);
+  EXPECT_EQ(runtime::lock_count(v.get().raw()), 6u);
 }
 
 TEST(LockPlan, FieldModeDefaultsAreFaithful) {
-  // This binary runs with SBD_LOCK_GRANULARITY=field: every class
-  // starts on the identity map, bit-for-bit the pre-LockMap runtime.
-  EXPECT_EQ(runtime::lockplan::mode(), runtime::lockplan::Mode::kField);
-  EXPECT_STREQ(runtime::lockplan::mode_name(), "field");
-  EXPECT_EQ(runtime::lockplan::initial_map(), LockMap::field_map());
+  // field (or an unknown value, which falls back to field): every class
+  // without its own map starts on the identity map, bit-for-bit the
+  // pre-LockMap runtime.
+  EXPECT_EQ(runtime::process_lock_map(), LockMap::field_map());
+  EXPECT_STREQ(runtime::process_lock_map().to_string(), "field");
   class Fresh : public runtime::TypedRef<Fresh> {
    public:
     SBD_CLASS(LockPlanFresh, SBD_SLOT("a"), SBD_SLOT("b"))
   };
-  EXPECT_TRUE(Fresh::klass()->lock_map().identity());
+  EXPECT_TRUE(Fresh::klass()->lockMap.identity());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "api/sbd.h"
 #include "core/stats.h"
 #include "core/transaction.h"
-#include "runtime/lockplan.h"
 #include "runtime/object.h"
 
 namespace sbd {
@@ -41,16 +40,13 @@ TEST(LockPlanVersioned, MapAlgebra) {
   // word per natural index), only the word's MEANING changes.
   EXPECT_EQ(m.width(6), 6u);
   EXPECT_EQ(m.index(4), 4u);
-  EXPECT_EQ(m.to_string(), "versioned");
-  EXPECT_EQ(LockMap::from_bits(m.bits()), m);
+  EXPECT_STREQ(m.to_string(), "versioned");
   EXPECT_NE(m, LockMap::field_map());
 }
 
 TEST(LockPlanVersioned, ModeIsVersioned) {
-  ASSERT_EQ(runtime::lockplan::mode(), runtime::lockplan::Mode::kVersioned);
-  EXPECT_STREQ(runtime::lockplan::mode_name(), "versioned");
-  EXPECT_EQ(runtime::lockplan::initial_map(), LockMap::versioned_map());
-  EXPECT_EQ(Cell::klass()->lock_map(), LockMap::versioned_map());
+  ASSERT_EQ(runtime::process_lock_map(), LockMap::versioned_map());
+  EXPECT_EQ(Cell::klass()->lockMap, LockMap::versioned_map());
 }
 
 TEST(LockPlanVersioned, InvisibleReadsTakeNoLocks) {
@@ -205,46 +201,45 @@ TEST(LockPlanVersioned, StampWordsHaveTheirOwnGauge) {
   EXPECT_EQ(g.lockStructBytes.load(), locksBefore);
 }
 
-class VetoCell : public runtime::TypedRef<VetoCell> {
+// A class registered with its own map keeps it under a versioned
+// process: reads lock (acquire/release), nothing joins the read set,
+// and its words are lock words, not stamps.
+class FieldCell : public runtime::TypedRef<FieldCell> {
  public:
-  SBD_CLASS(VerVeto, SBD_SLOT("v"))
-  SBD_FIELD_I64(0, v)
+  using TypedRef::TypedRef;
+  static runtime::ClassInfo* klass() {
+    static runtime::ClassInfo* ci = runtime::register_class(
+        "VerFieldCell", {SBD_SLOT("a"), SBD_SLOT("b")}, {}, LockMap::field_map());
+    return ci;
+  }
+  SBD_FIELD_I64(0, a)
+  SBD_FIELD_I64(1, b)
 };
 
-TEST(LockPlanVersioned, StampsDoNotVetoReplanButLiveReadSetsDo) {
-  runtime::GlobalRoot<VetoCell> root;
+TEST(LockPlanVersioned, RegisteredFieldMapStaysField) {
+  EXPECT_EQ(FieldCell::klass()->lockMap, LockMap::field_map());
+  runtime::GlobalRoot<FieldCell> root;
   run_sbd([&] {
-    VetoCell c = VetoCell::alloc();
-    c.init_v(5);
+    FieldCell c = FieldCell::alloc();
+    c.init_a(4);
+    c.init_b(5);
     root.set(c);
   });
-  run_sbd([&] { root.get().set_v(6); });  // stamps now nonzero
-  std::atomic<int> ph{0};
-  {
-    SbdThread t([&] {
-      (void)root.get().v();  // live read-set entry on VetoCell
-      ph.store(1);
-      auto& tc = tls_context();
-      while (ph.load() != 2) core::Safepoint::poll(tc);
-    });
-    t.start();
-    while (ph.load() != 1) {
-    }
-    // The parked reader's read set points into VetoCell's stamp array:
-    // swapping the map would free it under the validation's feet.
-    EXPECT_FALSE(set_lock_granularity(VetoCell::klass(), LockGranularity::kField));
-    EXPECT_EQ(VetoCell::klass()->lock_map(), LockMap::versioned_map());
-    ph.store(2);
-    t.join();
-  }
-  // With the reader gone, nonzero STAMPS alone must not veto — only a
-  // write-locked word (LSB set) is live state on a versioned map.
-  EXPECT_TRUE(set_lock_granularity(VetoCell::klass(), LockGranularity::kField));
-  EXPECT_EQ(VetoCell::klass()->lock_map(), LockMap::field_map());
-  // And the round trip back.
-  EXPECT_TRUE(set_lock_granularity(VetoCell::klass(), LockGranularity::kVersioned));
-  EXPECT_EQ(VetoCell::klass()->lock_map(), LockMap::versioned_map());
-  run_sbd([&] { EXPECT_EQ(root.get().v(), 6); });
+  const core::GlobalGauges& g = core::gauges();
+  const uint64_t locksBefore = g.lockStructBytes.load();
+  const uint64_t stampsBefore = g.versionWordBytes.load();
+  run_sbd([&] {
+    FieldCell c = root.get();
+    auto& tc = tls_context();
+    const auto before = tc.stats;
+    EXPECT_EQ(c.a() + c.b(), 9);
+    const auto after = tc.stats;
+    EXPECT_EQ(after.acqRls - before.acqRls, 2u);
+    EXPECT_EQ(after.versionedReads - before.versionedReads, 0u);
+  });
+  EXPECT_EQ(g.lockStructBytes.load() - locksBefore, 2 * sizeof(core::LockWord));
+  EXPECT_EQ(g.versionWordBytes.load(), stampsBefore);
+  EXPECT_EQ(FieldCell::klass()->lockMap, LockMap::field_map());
 }
 
 }  // namespace

@@ -28,11 +28,11 @@
 //                   Violations print the offending event windows, write
 //                   artifacts to $SBD_ORACLE_ARTIFACT_DIR when set, and
 //                   fail the run.
-//   --differential  re-executes the SAME seed as four child processes,
-//                   one per lock-granularity mode (field, striped:4,
-//                   object, versioned — granularity is parsed once per
+//   --differential  re-executes the SAME seed as three child processes,
+//                   one per lock-granularity mode (field, object,
+//                   versioned — granularity is parsed once per
 //                   process, hence processes), each with --oracle, and
-//                   requires every child to pass its oracle AND all four
+//                   requires every child to pass its oracle AND all three
 //                   invariant checksums to match.
 #include <cinttypes>
 #include <cstdio>
@@ -77,7 +77,7 @@ struct Config {
   uint64_t delayNanos = 20'000;
   bool small = false;
   bool oracle = false;        // full-trace + happens-before check per seed
-  bool differential = false;  // 4 granularity modes as child processes
+  bool differential = false;  // 3 granularity modes as child processes
   std::string emitPath;       // child->parent result file (--differential)
   std::string traceOut;       // also dump the raw trace here (--oracle)
 };
@@ -491,7 +491,7 @@ int usage(const char* argv0) {
 // --oracle and reports its invariant checksum through --emit.
 // ---------------------------------------------------------------------------
 
-const char* kDiffModes[] = {"field", "striped:4", "object", "versioned"};
+const char* kDiffModes[] = {"field", "object", "versioned"};
 
 std::string self_exe(const char* argv0) {
   char buf[4096];
