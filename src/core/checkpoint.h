@@ -3,7 +3,8 @@
 // thread's frames and resume from the start of the atomic section.
 //
 // A checkpoint is taken at every section boundary (thread start and
-// every split). It stores the machine context (getcontext) plus a raw
+// every split). It stores the machine context (a FastContext, or a
+// ucontext_t from getcontext in sanitized builds) plus a raw
 // copy of the stack segment between the current stack pointer and a
 // per-thread anchor recorded at SBD-thread entry. An abort restores the
 // bytes and the context from a small trampoline stack (the restoring

@@ -1,5 +1,6 @@
 #include "core/queue.h"
 
+#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -152,6 +153,19 @@ void ParkingLot::publish(WaitNode& n) {
   link_locked(b, n);
 }
 
+// A grant pass runs because a member or a waiter left `word`, so the
+// published Dreadlocks digest of every waiter still queued there may
+// name it. The one that left can then queue behind such a waiter and
+// read its own bit back: a phantom cycle. Clearing is safe: each queued
+// waiter publishes a fresh digest from its next probe, so a real cycle
+// through it is still found within one park tick.
+void ParkingLot::forget_digests_locked(Bucket& b, const LockWord* word) {
+  auto& mgr = TxnManager::instance();
+  for (WaitNode* n = b.head; n; n = n->next)
+    if (n->word == word && !n->idPool && n->txnId >= 0)
+      mgr.digest_slot(n->txnId).store(0, std::memory_order_release);
+}
+
 void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContext& tc) {
   auto* aw = as_atomic(word);
   for (;;) {
@@ -198,7 +212,10 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
         target = with_member(target, n->mask);
       }
     }
-    if (ng == 0) return;
+    if (ng == 0) {
+      forget_digests_locked(b, word);
+      return;
+    }
     if (ng == total) target = without_waiters(target);
     if (aw->compare_exchange_strong(w, target, std::memory_order_acq_rel)) {
       gHandoffs.fetch_add(ng, std::memory_order_relaxed);
@@ -211,6 +228,7 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
         grant[i]->state.store(kNodeGranted, std::memory_order_release);
         wake(*grant[i]);
       }
+      forget_digests_locked(b, word);
       return;
     }
     tc.stats.casFailures++;  // a racing release/upgrade moved the word; retry
@@ -256,7 +274,20 @@ GrantProbe ParkingLot::try_grant_self(ThreadContext& tc, WaitNode& n) {
       // Consume an advisory signal so the next park actually sleeps.
       uint32_t st = kNodeSignaled;
       n.state.compare_exchange_strong(st, kNodeWaiting, std::memory_order_relaxed);
-      return {false, (members(w) & ~n.mask) | ahead};
+      const uint64_t blockers = (members(w) & ~n.mask) | ahead;
+      uint64_t digest = blockers;
+      auto& mgr = TxnManager::instance();
+      for (uint64_t scan = blockers; scan; scan &= scan - 1) {
+        const int d = std::countr_zero(scan);
+        // A member that still reads as waiting on this very word was
+        // just granted it and has not left its wait yet: its digest is
+        // from that wait and may name us.
+        const Transaction* t = mgr.lookup(d);
+        if ((ahead >> d & 1) == 0 && t && t->waiting_on() == n.word) continue;
+        digest |= mgr.digest_slot(d).load(std::memory_order_acquire);
+      }
+      if (n.txnId >= 0) mgr.digest_slot(n.txnId).store(digest, std::memory_order_release);
+      return {false, digest};
     }
     const bool lastNode = isFront && total == 1;
     if (lastNode) target = without_waiters(target);

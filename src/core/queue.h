@@ -77,10 +77,12 @@ struct WaitNode {
 // Result of one grant probe by the waiter itself.
 struct GrantProbe {
   bool granted = false;
-  // Dreadlocks digest input gathered in the same bucket critical
-  // section: current members of the word minus ourselves, plus the txn
-  // bits of every same-word waiter ahead of us.
-  uint64_t blockers = 0;
+  // The waiter's Dreadlocks digest, computed and published in the same
+  // bucket critical section as the probe (so a grant pass on the word,
+  // which clears its waiters' digests, orders wholly before or after
+  // it): the blockers — current members of the word minus ourselves,
+  // plus every same-word waiter ahead of us — and their digests.
+  uint64_t digest = 0;
 };
 
 enum class CancelResult {
@@ -217,6 +219,9 @@ class ParkingLot {
   void unlink_locked(Bucket& b, WaitNode& n);
   // Hands the grantable prefix of `word` its locks. Pre: b.mu held.
   void grant_pass_locked(Bucket& b, const LockWord* word, ThreadContext& tc);
+  // Clears the Dreadlocks digests of the waiters queued on `word`.
+  // Pre: b.mu held.
+  static void forget_digests_locked(Bucket& b, const LockWord* word);
   static void wake(WaitNode& n);
 
   Bucket buckets_[kBuckets];

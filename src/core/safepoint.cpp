@@ -18,35 +18,49 @@ std::mutex gSpMu;
 std::condition_variable gSpCv;
 ThreadContext* gStopper = nullptr;
 
-inline void* sp_from(const ucontext_t& ctx) {
-#if defined(__x86_64__)
-  return reinterpret_cast<void*>(ctx.uc_mcontext.gregs[REG_RSP]);
-#elif defined(__aarch64__)
-  return reinterpret_cast<void*>(ctx.uc_mcontext.sp);
-#endif
-}
-
 // Spills the register file into the context so a conservative scan sees
-// references that currently live only in registers.
+// references that currently live only in registers. Under SBD_FASTCTX
+// this is the checkpoint engine's capture (callee-saved registers and
+// SP, no syscall); the caller-saved ones are already in the frames
+// above the recorded SP. Sanitized builds fall back to getcontext.
 inline void spill(ThreadContext& tc) {
+#if SBD_FASTCTX
+  sbd_ctx_save(&tc.spillCtx);
+  tc.spillSp = fastctx_sp(tc.spillCtx);
+#else
   getcontext(&tc.spillCtx);
-  tc.spillSp = sp_from(tc.spillCtx);
+#if defined(__x86_64__)
+  tc.spillSp = reinterpret_cast<void*>(tc.spillCtx.uc_mcontext.gregs[REG_RSP]);
+#elif defined(__aarch64__)
+  tc.spillSp = reinterpret_cast<void*>(tc.spillCtx.uc_mcontext.sp);
+#endif
+#endif
 }
 }  // namespace
 
+// Entry and exit pair with stop_world() Dekker-style: each side stores
+// its own flag, then loads the other's, all seq_cst, so at least one of
+// them sees the other. A stopper that misses the kSafe store polls again
+// within 100 us; a thread that misses the stop request is seen as
+// kSafe. Entry therefore wakes the stopper only while a stop is pending.
 Safepoint::SafeScope::SafeScope(ThreadContext& tc) : tc_(tc) {
   spill(tc_);
-  tc_.state.store(static_cast<int>(ThreadState::kSafe), std::memory_order_release);
-  // The stopper polls with a timeout, so a lost wakeup only delays it.
-  gSpCv.notify_all();
+  tc_.state.store(static_cast<int>(ThreadState::kSafe), std::memory_order_seq_cst);
+  if (stopRequested_.load(std::memory_order_seq_cst)) gSpCv.notify_all();
 }
 
 Safepoint::SafeScope::~SafeScope() {
-  if (stopRequested_.load(std::memory_order_acquire)) {
+  for (;;) {
+    tc_.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_seq_cst);
+    if (!stopRequested_.load(std::memory_order_seq_cst)) return;
+    // A stopper may already count this thread as stopped: step back
+    // into the safe region and wait out the stop before running on.
+    spill(tc_);
+    tc_.state.store(static_cast<int>(ThreadState::kSafe), std::memory_order_seq_cst);
     std::unique_lock<std::mutex> lk(gSpMu);
+    gSpCv.notify_all();
     gSpCv.wait(lk, [] { return !stopRequested_.load(std::memory_order_acquire); });
   }
-  tc_.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_release);
 }
 
 void Safepoint::park(ThreadContext& tc) {
@@ -77,7 +91,7 @@ void Safepoint::stop_world(ThreadContext& requester) {
   requester.state.store(static_cast<int>(ThreadState::kRunning),
                         std::memory_order_release);
   gStopper = &requester;
-  stopRequested_.store(true, std::memory_order_release);
+  stopRequested_.store(true, std::memory_order_seq_cst);
   // Wait until every other registered thread is parked or in a safe
   // region. Poll with a timeout: threads that were already blocked in a
   // SafeScope never signal again.
@@ -85,7 +99,7 @@ void Safepoint::stop_world(ThreadContext& requester) {
     bool allStopped = true;
     TxnManager::instance().for_each_thread([&](ThreadContext* tc) {
       if (tc == &requester) return;
-      if (tc->state.load(std::memory_order_acquire) ==
+      if (tc->state.load(std::memory_order_seq_cst) ==
           static_cast<int>(ThreadState::kRunning))
         allStopped = false;
     });

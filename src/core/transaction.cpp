@@ -401,27 +401,17 @@ void abort_and_restart(ThreadContext& tc) {
 
 namespace {
 
-// Computes and publishes this transaction's Dreadlocks digest while it
-// waits for `word`; resolves any detected cycle by aborting the
-// youngest waiting member. `direct` is the blocker set gathered by the
-// grant probe (word members + same-word waiters ahead of us) inside the
-// bucket critical section; this runs OUTSIDE any bucket lock, so the
-// resolver's wake of the victim (unpark_txn takes the victim's bucket
-// lock) cannot deadlock. Returns true if the caller itself must abort.
-bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
-                               runtime::ManagedObject* obj, LockWord* word) {
+// Resolves a cycle through this transaction, if its Dreadlocks digest
+// (published by the grant probe, ParkingLot::try_grant_self) names it,
+// by aborting the youngest waiting member. This runs OUTSIDE any bucket
+// lock, so the resolver's wake of the victim (unpark_txn takes the
+// victim's bucket lock) cannot deadlock. Returns true if the caller
+// itself must abort.
+bool resolve_cycle(ThreadContext& tc, uint64_t digest, runtime::ManagedObject* obj,
+                   LockWord* word) {
   auto& mgr = TxnManager::instance();
   const int myId = tc.txn.id();
   const LockWord myBit = tc.txn.mask();
-
-  uint64_t digest = direct;
-  uint64_t scan = direct;
-  while (scan) {
-    const int d = std::countr_zero(scan);
-    scan &= scan - 1;
-    digest |= mgr.digest_slot(d).load(std::memory_order_acquire);
-  }
-  mgr.digest_slot(myId).store(digest, std::memory_order_release);
   if ((digest & myBit) == 0) return false;  // no cycle through us
 
   // Cycle: abort the youngest *waiting* member (deterministic policy —
@@ -603,7 +593,7 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
       return;
     }
     if (tc.txn.abort_requested()) abort_from_wait();
-    if (update_digest_and_resolve(tc, probe.blockers, obj, word)) abort_from_wait();
+    if (resolve_cycle(tc, probe.digest, obj, word)) abort_from_wait();
     if (tc.txn.abort_requested()) abort_from_wait();
     {
       // The SafeScope covers the park: the collector may scan our stack

@@ -206,7 +206,13 @@ struct ThreadContext {
 
   // Safepoint machinery.
   std::atomic<int> state{static_cast<int>(ThreadState::kRunning)};
-  ucontext_t spillCtx{};   // registers at park/safe-enter, for the GC scan
+  // Registers at park/safe-enter, for the GC scan: raw callee-saved
+  // words (FastContext) or, in sanitized builds, a full ucontext_t.
+#if SBD_FASTCTX
+  FastContext spillCtx{};
+#else
+  ucontext_t spillCtx{};
+#endif
   void* spillSp = nullptr; // SP at park/safe-enter (low end of scannable stack)
   void* stackAnchor = nullptr;
   uint32_t pollCountdown = 0;
@@ -425,9 +431,11 @@ class Safepoint {
   }
 
   // RAII safe region around any blocking OS wait. While inside, the GC
-  // may scan the thread's stack above the entry point; the enclosed code
-  // must not hold the only reference to a managed object in locals
-  // (runtime-internal waits satisfy this by keeping side records).
+  // may scan the thread's stack above the entry point and the registers
+  // spilled at entry; the enclosed code must not hold the only reference
+  // to a managed object in locals (runtime-internal waits satisfy this
+  // by keeping side records). Entry costs a register capture and a
+  // seq_cst store; wrap only waits that can actually block.
   class SafeScope {
    public:
     explicit SafeScope(ThreadContext& tc);

@@ -198,30 +198,34 @@ size_t TxSocket::read(void* out, size_t n) {
       const size_t got = replay_.serve(out, n);
       if (got > 0) return got;
     }
-    auto& tc = core::tls_context();
-    if (inTxn && sock_.available() == 0) {
-      // Reading from an empty stream is waiting for another thread's
-      // update: per §3.5 the waiter must end its section and release
-      // its transaction id, or id-starved peers could never produce the
-      // data (the 2N-threads > 56-ids case of the Tomcat benchmark).
-      // Such a read is a REQUIRED split: composing it into a noSplit
-      // block (§3.7) would deadlock, so it is rejected outright — the
-      // paper's splitOptional rule.
-      SBD_CHECK_MSG(tc.noSplitDepth == 0,
-                    "blocking socket read inside a noSplit block (§3.7: this "
-                    "operation must be able to split)");
-      bool readable = true;
-      core::split_section_releasing_id(tc, [&] {
-        core::Safepoint::SafeScope safe(tc);
-        readable = sock_.wait_readable();
-      });
-      if (!readable) return 0;  // peer closed with nothing buffered: EOF
-      continue;  // fresh section: re-register and serve replay first
-    }
-    size_t fresh;
-    {
+    // Buffered bytes are taken without blocking, so the common case (the
+    // parser reading a request that has already arrived) costs one pipe
+    // lock and no safe-region entry. Only a read that can block below
+    // enters a SafeScope.
+    size_t fresh = sock_.try_read(out, n);
+    if (fresh == 0) {
+      auto& tc = core::tls_context();
+      if (inTxn) {
+        // Reading from an empty stream is waiting for another thread's
+        // update: per §3.5 the waiter must end its section and release
+        // its transaction id, or id-starved peers could never produce
+        // the data (the 2N-threads > 56-ids case of the Tomcat
+        // benchmark). Such a read is a REQUIRED split: composing it into
+        // a noSplit block (§3.7) would deadlock, so it is rejected
+        // outright — the paper's splitOptional rule.
+        SBD_CHECK_MSG(tc.noSplitDepth == 0,
+                      "blocking socket read inside a noSplit block (§3.7: this "
+                      "operation must be able to split)");
+        bool readable = true;
+        core::split_section_releasing_id(tc, [&] {
+          core::Safepoint::SafeScope safe(tc);
+          readable = sock_.wait_readable();
+        });
+        if (!readable) return 0;  // peer closed with nothing buffered: EOF
+        continue;  // fresh section: re-register and serve replay first
+      }
       core::Safepoint::SafeScope safe(tc);
-      fresh = sock_.read(static_cast<uint8_t*>(out), n);
+      fresh = sock_.read(out, n);
     }
     if (inTxn && fresh) replay_.consumed(static_cast<uint8_t*>(out), fresh);
     return fresh;

@@ -1,5 +1,6 @@
 #include "net/loopback.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/check.h"
@@ -11,18 +12,32 @@ namespace sbd::net {
 // Pipe
 // ---------------------------------------------------------------------------
 
+template <class Ready>
+void Pipe::wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready) {
+  if (ready()) return;
+  waiting++;
+  cv_.wait(lk, ready);
+  waiting--;
+}
+
+size_t Pipe::take_locked(void* out, size_t n) {
+  const size_t take = std::min(n, buf_.size());
+  const auto first = buf_.begin();
+  std::copy(first, first + static_cast<std::ptrdiff_t>(take), static_cast<uint8_t*>(out));
+  buf_.erase(first, first + static_cast<std::ptrdiff_t>(take));
+  if (take > 0 && writersWaiting_ > 0) cv_.notify_all();  // room for a writer
+  return take;
+}
+
 size_t Pipe::read(void* out, size_t n) {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return !buf_.empty() || writeClosed_; });
-  if (buf_.empty()) return 0;  // EOF
-  const size_t take = std::min(n, buf_.size());
-  auto* p = static_cast<uint8_t*>(out);
-  for (size_t i = 0; i < take; i++) {
-    p[i] = buf_.front();
-    buf_.pop_front();
-  }
-  cv_.notify_all();  // writers waiting for space
-  return take;
+  wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
+  return take_locked(out, n);  // 0 = EOF
+}
+
+size_t Pipe::try_read(void* out, size_t n) {
+  std::lock_guard<std::mutex> lk(mu_);
+  return take_locked(out, n);
 }
 
 void Pipe::write(const void* data, size_t n) {
@@ -32,13 +47,13 @@ void Pipe::write(const void* data, size_t n) {
     std::function<void()> fire;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return buf_.size() < capacity_ || readClosed_; });
+      wait_locked(lk, writersWaiting_, [&] { return buf_.size() < capacity_ || readClosed_; });
       if (readClosed_) return;  // peer is gone; drop (like EPIPE w/o signal)
       const size_t room = capacity_ - buf_.size();
       const size_t take = std::min(room, n - written);
       buf_.insert(buf_.end(), p + written, p + written + take);
       written += take;
-      cv_.notify_all();
+      if (readersWaiting_ > 0) cv_.notify_all();
       fire = std::move(notify_);  // one-shot: consume the armed edge
       notify_ = nullptr;
     }
@@ -71,7 +86,7 @@ size_t Pipe::available() const {
 
 bool Pipe::wait_readable() {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return !buf_.empty() || writeClosed_; });
+  wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
   return !buf_.empty();
 }
 

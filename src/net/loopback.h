@@ -25,6 +25,11 @@ class Pipe {
   // Returns bytes read (0 = clean EOF).
   size_t read(void* out, size_t n);
 
+  // Never blocks: takes what is buffered, up to `n`. Returns 0 both
+  // when the pipe is empty and at EOF; callers that must tell the two
+  // apart follow up with read() or wait_readable().
+  size_t try_read(void* out, size_t n);
+
   // Blocks if the pipe is full; drops the data if the reader closed.
   void write(const void* data, size_t n);
 
@@ -48,10 +53,24 @@ class Pipe {
   void disarm_notify();
 
  private:
+  // Moves up to `n` buffered bytes out; mu_ held. Wakes a writer
+  // waiting for room if it freed any.
+  size_t take_locked(void* out, size_t n);
+
+  // Waits on cv_ until `ready()`, counted in `waiting` meanwhile; mu_
+  // held. cv_ is signalled only when someone waits on it: a waiter
+  // counts itself under the same hold of mu_ in which it found `ready()`
+  // false, and every state change is made under mu_, so the change
+  // either comes before that check or sees the count.
+  template <class Ready>
+  void wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready);
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<uint8_t> buf_;
   size_t capacity_;
+  int readersWaiting_ = 0;
+  int writersWaiting_ = 0;
   bool writeClosed_ = false;
   bool readClosed_ = false;
   std::function<void()> notify_;  // armed = non-null; one-shot
@@ -73,6 +92,8 @@ class Socket {
 
   // Blocking; returns 0 at EOF (peer closed).
   size_t read(void* out, size_t n) { return in_->read(out, n); }
+  // Non-blocking; returns 0 when nothing is buffered (see Pipe::try_read).
+  size_t try_read(void* out, size_t n) { return in_->try_read(out, n); }
   void write(const void* data, size_t n) { out_->write(data, n); }
   void write(std::string_view s) { write(s.data(), s.size()); }
 

@@ -15,14 +15,6 @@ namespace sbd::runtime {
 
 namespace {
 constexpr size_t align_up(size_t v, size_t a) { return (v + a - 1) & ~(a - 1); }
-
-inline void* sp_from_ctx(const ucontext_t& ctx) {
-#if defined(__x86_64__)
-  return reinterpret_cast<void*>(ctx.uc_mcontext.gregs[REG_RSP]);
-#elif defined(__aarch64__)
-  return reinterpret_cast<void*>(ctx.uc_mcontext.sp);
-#endif
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ void Heap::mark_from_roots() {
     } else if (t->stackAnchor && t->spillSp) {
       scan_words(t->spillSp, t->stackAnchor);
       scan_words(&t->spillCtx, reinterpret_cast<const std::byte*>(&t->spillCtx) +
-                                   sizeof(ucontext_t));
+                                   sizeof(t->spillCtx));
     }
     // Section checkpoint: saved stack bytes + register file (raw,
     // unmangled — reg_area() covers the fast-context or ucontext form).

@@ -404,8 +404,15 @@ struct Server::Impl {
     } else {
       retire(c);
     }
-    inFlight.fetch_sub(1, std::memory_order_relaxed);
-    drainCv.notify_all();
+    // Only shutdown() waits on drainCv. Both sides store their own
+    // variable, then load the other's, seq_cst: if this load misses
+    // `stopping`, shutdown's predicate sees the decrement. The notify
+    // takes drainMu so it cannot fall between that predicate and the wait.
+    inFlight.fetch_sub(1, std::memory_order_seq_cst);
+    if (stopping.load(std::memory_order_seq_cst)) {
+      std::lock_guard<std::mutex> lk(drainMu);
+      drainCv.notify_all();
+    }
   }
 
   void retire(Conn& c) {
@@ -444,14 +451,14 @@ void Server::start() {
 void Server::shutdown() {
   if (!running_.exchange(false)) return;
   Impl& s = *impl_;
-  s.stopping.store(true, std::memory_order_release);
+  s.stopping.store(true, std::memory_order_seq_cst);
   s.listener.close();  // dispatcher unblocks and exits
   s.ready->stop();     // workers drain the queue, then see nullptr
   {
     // Drain: give in-flight (and already-queued) requests their grace.
     std::unique_lock<std::mutex> lk(s.drainMu);
     s.drainCv.wait_for(lk, std::chrono::milliseconds(s.cfg.drainTimeoutMs), [&] {
-      return s.inFlight.load(std::memory_order_relaxed) == 0 && s.ready->empty();
+      return s.inFlight.load(std::memory_order_seq_cst) == 0 && s.ready->empty();
     });
   }
   {

@@ -220,12 +220,12 @@ TEST(ParkingLot, UnparkTxnSignalsExactlyTheNamedWaiter) {
   EXPECT_EQ(b.state.load(), kNodeSignaled);
 
   // The signal is advisory: an ineligible probe consumes it (so the
-  // next park really sleeps) and reports the blockers for the digest.
+  // next park really sleeps) and reports the blockers in the digest.
   GrantProbe p = lot.try_grant_self(tc, b);
   EXPECT_FALSE(p.granted);
   EXPECT_EQ(b.state.load(), kNodeWaiting);
-  EXPECT_NE(p.blockers & txn_mask(18), 0u) << "holder is a blocker";
-  EXPECT_NE(p.blockers & txn_mask(19), 0u) << "waiter ahead is a blocker";
+  EXPECT_NE(p.digest & txn_mask(18), 0u) << "holder is a blocker";
+  EXPECT_NE(p.digest & txn_mask(19), 0u) << "waiter ahead is a blocker";
   EXPECT_EQ(lot.cancel(tc, a), CancelResult::kRemoved);
   EXPECT_EQ(lot.cancel(tc, b), CancelResult::kRemoved);
 }

@@ -149,21 +149,35 @@ TEST_P(AbortStorm, RetriesPreserveLinkedStructure) {
 
 INSTANTIATE_TEST_SUITE_P(AbortRates, AbortStorm, ::testing::Values(2, 3, 7));
 
-// The visible-reader ordering semantics (§3.2): accessing locations in
-// a fixed global order across all threads never deadlocks, so no
-// aborts occur even under maximal contention.
+// The visible-reader ordering semantics (§3.2): taking write locks in a
+// fixed global order across all threads never deadlocks, even under
+// maximal contention. A read-modify-write alone is not ordered that way:
+// two threads can both read-lock a cell and then duel for the upgrade.
+// So each cell's update is preceded by a blind write to its own guard,
+// and guard write locks are taken 0 -> 3 by every thread; whoever holds
+// guard k is then alone on cell k. Every waiter queues behind peers
+// while the word's holder keeps changing, so the test also checks that
+// stale Dreadlocks digests report no phantom cycle.
 TEST(StmOrdering, OrderedAccessesNeverDeadlock) {
   runtime::GlobalRoot<runtime::I64Array> cells;
-  run_sbd([&] { cells.set(runtime::I64Array::make(4)); });
+  runtime::GlobalRoot<runtime::I64Array> guards;
+  run_sbd([&] {
+    cells.set(runtime::I64Array::make(4));
+    guards.set(runtime::I64Array::make(4));
+  });
   const auto before = TxnManager::instance().snapshot_stats();
   {
     std::vector<SbdThread> ts;
     for (int t = 0; t < 4; t++) {
-      ts.emplace_back([&] {
+      ts.emplace_back([&, t] {
         for (int i = 0; i < 200; i++) {
           auto a = cells.get();
-          // Always 0 -> 1 -> 2 -> 3 (program order = lock order).
-          for (int k = 0; k < 4; k++) a.set(k, a.get(k) + 1);
+          auto g = guards.get();
+          // Always guard 0 -> 1 -> 2 -> 3 (program order = lock order).
+          for (int k = 0; k < 4; k++) {
+            g.set(k, t);
+            a.set(k, a.get(k) + 1);
+          }
           split();
         }
       });
@@ -173,7 +187,7 @@ TEST(StmOrdering, OrderedAccessesNeverDeadlock) {
   }
   const auto after = TxnManager::instance().snapshot_stats().diff(before);
   EXPECT_EQ(after.deadlocksResolved, 0u)
-      << "identically ordered accesses cannot form a cycle";
+      << "identically ordered write locks cannot form a cycle";
   run_sbd([&] {
     for (int k = 0; k < 4; k++) EXPECT_EQ(cells.get().get(k), 800);
   });

@@ -38,6 +38,49 @@ TEST(Pipe, BlockingReadWokenByWriter) {
   writer.join();
 }
 
+TEST(Pipe, TryReadNeverBlocks) {
+  Pipe p;
+  char buf[8] = {};
+  EXPECT_EQ(p.try_read(buf, 8), 0u) << "empty pipe: nothing to take, no wait";
+  p.write("abc", 3);
+  EXPECT_EQ(p.try_read(buf, 2), 2u);
+  EXPECT_EQ(std::string(buf, 2), "ab");
+  p.close_write();
+  EXPECT_EQ(p.try_read(buf, 8), 1u) << "buffered bytes outlive close_write";
+  EXPECT_EQ(buf[0], 'c');
+  EXPECT_EQ(p.try_read(buf, 8), 0u);
+  EXPECT_EQ(p.read(buf, 8), 0u) << "EOF still reads 0";
+}
+
+TEST(Pipe, WriterBlockedOnFullPipeWokenByReader) {
+  Pipe p(4);
+  const std::string msg = "0123456789";
+  std::thread writer([&] { p.write(msg.data(), msg.size()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(p.available(), 4u) << "the writer fills the pipe, then waits for room";
+  std::string got;
+  char buf[3];
+  while (got.size() < msg.size()) {
+    const size_t n = p.read(buf, sizeof(buf));
+    ASSERT_GT(n, 0u);
+    got.append(buf, n);
+  }
+  writer.join();
+  EXPECT_EQ(got, msg);
+}
+
+TEST(Pipe, BlockingReadWokenByCloseWrite) {
+  Pipe p;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    p.close_write();
+  });
+  char buf[8];
+  EXPECT_EQ(p.read(buf, 8), 0u);
+  EXPECT_FALSE(p.wait_readable());
+  closer.join();
+}
+
 TEST(Network, ConnectAcceptPair) {
   auto listener = Network::instance().listen(8001);
   std::thread server([&] {
@@ -173,6 +216,60 @@ TEST(TxSocketT, ReadsReplayedAfterAbort) {
   });
   tx.close();
   server.join();
+  listener.close();
+}
+
+// The whole request is on the wire before the section reads it, so
+// every byte comes off the buffered (non-blocking) path: no read splits
+// the section. An abort after the parse must replay exactly those bytes.
+TEST(TxSocketT, BufferedRequestReplayedAfterAbort) {
+  auto listener = Network::instance().listen(8005);
+  HttpRequest req;
+  req.method = "POST";
+  req.path = "/txfer?from=1&to=2";
+  req.headers["Host"] = "bench";
+  req.body = "amount=7";
+  const std::string wire = serialize(req);
+  Socket server;
+  std::thread acceptor([&] { server = listener.accept(); });
+  TxSocket tx(Network::instance().connect(8005));
+  acceptor.join();
+  server.write(wire);
+  ASSERT_EQ(tx.raw().available(), wire.size());
+  std::string seen, first, retry;
+  HttpRequest parsed;
+  run_sbd([&] {
+    static bool aborted;
+    aborted = false;
+    split();
+    auto& tc = core::tls_context();
+    const uint64_t commits = tc.stats.commits;
+    seen.clear();
+    parsed = HttpRequest();
+    const ReadStatus st = read_request_status(
+        [&](void* out, size_t n) {
+          const size_t got = tx.read(out, n);
+          seen.append(static_cast<const char*>(out), got);
+          return got;
+        },
+        parsed);
+    EXPECT_EQ(st, ReadStatus::kOk);
+    EXPECT_EQ(tc.stats.commits, commits) << "a buffered read must not split";
+    if (!aborted) {
+      aborted = true;
+      first = seen;
+      core::abort_and_restart(tc);
+    }
+    retry = seen;
+    split();
+  });
+  EXPECT_EQ(first, wire);
+  EXPECT_EQ(retry, first) << "B_R must replay the buffered input byte for byte";
+  EXPECT_EQ(parsed.path, req.path);
+  EXPECT_EQ(parsed.body, req.body);
+  EXPECT_EQ(tx.raw().available(), 0u);
+  tx.close();
+  server.close();
   listener.close();
 }
 

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
 #include "api/sbd.h"
 
 namespace sbd::runtime {
@@ -227,6 +233,62 @@ TEST(Gc, SurvivesConcurrentMutators) {
   }
   Heap::instance().set_gc_threshold(48ULL << 20);
   run_sbd([&] { EXPECT_EQ(shared.get().v(), 900); });
+}
+
+// Allocates a Node in its own (then dead) frame and returns its address
+// XOR-masked, so no stack word left behind points at it.
+constexpr uintptr_t kMask = 0x5a5a5a5a5a5a5a5aULL;
+[[gnu::noinline]] uintptr_t alloc_masked_node(int64_t v) {
+  Node n = Node::alloc();
+  n.init_v(v);
+  return reinterpret_cast<uintptr_t>(n.raw()) ^ kMask;
+}
+
+// A thread blocked in a safe region keeps the objects only its
+// callee-saved registers refer to alive: SafeScope spills them at entry
+// and the collector scans the spill. The reference is pinned to one such
+// register (x86-64 r12, AArch64 x19) across the safe region; after the
+// split that commits the allocation, nothing else refers to the object.
+TEST(Gc, SafeRegionRegistersAreRoots) {
+  std::atomic<uintptr_t> hidden{0};
+  std::atomic<bool> parked{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool resume = false;  // guarded by mu
+  SbdThread t([&] {
+    hidden.store(alloc_masked_node(77));
+    split();  // commit: the new-instance log no longer pins the node
+#if defined(__x86_64__)
+    register uintptr_t live asm("r12") = hidden.load() ^ kMask;
+#elif defined(__aarch64__)
+    register uintptr_t live asm("x19") = hidden.load() ^ kMask;
+#else
+    uintptr_t live = hidden.load() ^ kMask;
+#endif
+    asm volatile("" : "+r"(live));
+    {
+      // The wait writes nothing to this frame while the collector scans
+      // it: a condvar wait, not a sleep loop.
+      core::Safepoint::SafeScope safe(core::tls_context());
+      std::unique_lock<std::mutex> lk(mu);
+      parked.store(true);
+      while (!resume) cv.wait(lk);
+    }
+    asm volatile("" : "+r"(live));
+    EXPECT_EQ(Node::from_raw(reinterpret_cast<ManagedObject*>(live)).v(), 77);
+  });
+  t.start();
+  while (!parked.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Heap::instance().collect();
+  Heap::instance().collect();
+  void* obj = reinterpret_cast<void*>(hidden.load() ^ kMask);
+  EXPECT_EQ(Heap::instance().find_object(obj), obj) << "collected while still referenced";
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    resume = true;
+  }
+  cv.notify_all();
+  t.join();
 }
 
 TEST(Statics, TransactionalStaticSlots) {
