@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "core/fault.h"
+#include "core/spin.h"
 #include "core/transaction.h"
 
 #if defined(__linux__)
@@ -34,16 +35,6 @@ inline std::atomic<LockWord>* as_atomic(const LockWord* w) {
 inline void maybe_delay(fault::Site site) {
   if (const uint64_t ns = fault::fire_delay_nanos(site))
     std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-}
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
 }
 
 // Local-spin budget before a waiter pays for a futex park. Small on

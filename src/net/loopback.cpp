@@ -2,22 +2,60 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 
 #include "common/check.h"
 #include "core/fault.h"
+#include "core/obs.h"
+#include "core/spin.h"
 
 namespace sbd::net {
+
+namespace {
+
+std::atomic<uint64_t> gPipeWaitsSpun{0};
+std::atomic<uint64_t> gPipeWaitsParked{0};
+
+}  // namespace
+
+PipeWaitCounts pipe_wait_counts() {
+  return {gPipeWaitsSpun.load(std::memory_order_relaxed),
+          gPipeWaitsParked.load(std::memory_order_relaxed)};
+}
+
+std::string metrics_section() {
+  const PipeWaitCounts w = pipe_wait_counts();
+  std::ostringstream os;
+  os << "{\"pipeWaitsSpun\": " << w.spun << ", \"pipeWaitsParked\": " << w.parked << "}";
+  return os.str();
+}
 
 // ---------------------------------------------------------------------------
 // Pipe
 // ---------------------------------------------------------------------------
 
 template <class Ready>
-void Pipe::wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready) {
-  if (ready()) return;
+bool Pipe::wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready) {
+  if (ready()) return false;
   waiting++;
   cv_.wait(lk, ready);
   waiting--;
+  return true;
+}
+
+std::unique_lock<std::mutex> Pipe::lock_readable() {
+  const bool wasReadable = readable_.load(std::memory_order_relaxed);
+  if (!wasReadable)
+    core::spin_until([&] { return readable_.load(std::memory_order_relaxed); },
+                     core::kWaitSpinNanos);
+  std::unique_lock<std::mutex> lk(mu_);
+  const bool parked =
+      wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
+  if (parked)
+    gPipeWaitsParked.fetch_add(1, std::memory_order_relaxed);
+  else if (!wasReadable)
+    gPipeWaitsSpun.fetch_add(1, std::memory_order_relaxed);
+  return lk;
 }
 
 size_t Pipe::take_locked(void* out, size_t n) {
@@ -25,13 +63,13 @@ size_t Pipe::take_locked(void* out, size_t n) {
   const auto first = buf_.begin();
   std::copy(first, first + static_cast<std::ptrdiff_t>(take), static_cast<uint8_t*>(out));
   buf_.erase(first, first + static_cast<std::ptrdiff_t>(take));
+  publish_readable_locked();
   if (take > 0 && writersWaiting_ > 0) cv_.notify_all();  // room for a writer
   return take;
 }
 
 size_t Pipe::read(void* out, size_t n) {
-  std::unique_lock<std::mutex> lk(mu_);
-  wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
+  std::unique_lock<std::mutex> lk = lock_readable();
   return take_locked(out, n);  // 0 = EOF
 }
 
@@ -53,6 +91,7 @@ void Pipe::write(const void* data, size_t n) {
       const size_t take = std::min(room, n - written);
       buf_.insert(buf_.end(), p + written, p + written + take);
       written += take;
+      publish_readable_locked();
       if (readersWaiting_ > 0) cv_.notify_all();
       fire = std::move(notify_);  // one-shot: consume the armed edge
       notify_ = nullptr;
@@ -66,6 +105,7 @@ void Pipe::close_write() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     writeClosed_ = true;
+    publish_readable_locked();
     cv_.notify_all();
     fire = std::move(notify_);  // EOF is a readiness edge too
     notify_ = nullptr;
@@ -85,8 +125,7 @@ size_t Pipe::available() const {
 }
 
 bool Pipe::wait_readable() {
-  std::unique_lock<std::mutex> lk(mu_);
-  wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
+  std::unique_lock<std::mutex> lk = lock_readable();
   return !buf_.empty();
 }
 
@@ -157,7 +196,10 @@ struct Network::Impl {
 std::shared_ptr<Network::Impl> Network::init() { return std::make_shared<Impl>(); }
 
 Network& Network::instance() {
-  static Network* net = new Network();
+  static Network* net = [] {
+    obs::register_metrics_section("net", &metrics_section);
+    return new Network();
+  }();
   return *net;
 }
 

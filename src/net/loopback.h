@@ -5,16 +5,34 @@
 // a kernel network stack.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace sbd::net {
+
+// Process-wide outcome of the blocking pipe reads (read,
+// wait_readable) that had to wait: `parked` slept on the pipe's
+// condvar; `spun` found nothing buffered but saw data or EOF inside the
+// spin budget (or on the recheck under the lock). One relaxed add per
+// such wait; reads that find data count nothing.
+struct PipeWaitCounts {
+  uint64_t spun = 0;
+  uint64_t parked = 0;
+};
+PipeWaitCounts pipe_wait_counts();
+
+// The obs metrics provider for the net layer: {"pipeWaitsSpun": ..,
+// "pipeWaitsParked": ..}. Registered under "net" by
+// Network::instance(); callable directly.
+std::string metrics_section();
 
 // One direction of a connection: a bounded byte pipe.
 class Pipe {
@@ -22,7 +40,8 @@ class Pipe {
   explicit Pipe(size_t capacity = 256 * 1024) : capacity_(capacity) {}
 
   // Blocks until at least one byte is available or the writer closed.
-  // Returns bytes read (0 = clean EOF).
+  // Returns bytes read (0 = clean EOF). A reader that finds the pipe
+  // empty spins for core::kWaitSpinNanos before it parks.
   size_t read(void* out, size_t n);
 
   // Never blocks: takes what is buffered, up to `n`. Returns 0 both
@@ -61,9 +80,20 @@ class Pipe {
   // held. cv_ is signalled only when someone waits on it: a waiter
   // counts itself under the same hold of mu_ in which it found `ready()`
   // false, and every state change is made under mu_, so the change
-  // either comes before that check or sees the count.
+  // either comes before that check or sees the count. Returns whether
+  // it had to wait.
   template <class Ready>
-  void wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready);
+  bool wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready);
+
+  // The reader side of read() and wait_readable(): spins on readable_
+  // without the lock, then takes mu_ and waits in wait_locked until
+  // data or EOF. Returns with mu_ held.
+  std::unique_lock<std::mutex> lock_readable();
+
+  // Stores readable_ from the state it mirrors; mu_ held.
+  void publish_readable_locked() {
+    readable_.store(!buf_.empty() || writeClosed_, std::memory_order_relaxed);
+  }
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -73,6 +103,11 @@ class Pipe {
   int writersWaiting_ = 0;
   bool writeClosed_ = false;
   bool readClosed_ = false;
+  // Lock-free mirror of `!buf_.empty() || writeClosed_`, written under
+  // mu_ at every change of either. Only a spin hint: a spinning reader
+  // is not in readersWaiting_, and the decision to park is remade
+  // under mu_.
+  std::atomic<bool> readable_{false};
   std::function<void()> notify_;  // armed = non-null; one-shot
 };
 

@@ -13,6 +13,7 @@
 #include "core/fault.h"
 #include "core/obs.h"
 #include "core/queue.h"
+#include "core/spin.h"
 #include "core/transaction.h"
 #include "db/txwrapper.h"
 #include "threads/sbd_thread.h"
@@ -83,7 +84,9 @@ std::string metrics_section() {
      << ", \"txnAborts\": " << aborts
      << ", \"abortPerRequest\": "
      << (reqs ? static_cast<double>(aborts) / static_cast<double>(reqs) : 0.0)
-     << ", \"parkedWaiterDepth\": " << core::ParkingLot::approx_waiters() << "}";
+     << ", \"parkedWaiterDepth\": " << core::ParkingLot::approx_waiters()
+     << ", \"readyPopsSpun\": " << k.readyPopsSpun.load(std::memory_order_relaxed)
+     << ", \"readyPopsParked\": " << k.readyPopsParked.load(std::memory_order_relaxed) << "}";
   return os.str();
 }
 
@@ -128,29 +131,60 @@ struct Conn {
 // The multiplex point: edge callbacks push, workers pop. Held by
 // shared_ptr so a late callback (a client writing just as the server
 // dies) still lands on live memory.
+//
+// Waits follow net::Pipe's protocol: a popper spins on the lock-free
+// `ready` mirror first, then counts itself in `parked` under the same
+// hold of mu in which it found nothing, and push signals cv only when
+// that count is non-zero. Every change to q or stopping is made under
+// mu, so a push either comes before the popper's check or sees it
+// counted.
 struct ReadyQueue {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Conn*> q;
   bool stopping = false;
+  int parked = 0;  // poppers waiting on cv
+  // Mirrors `!q.empty() || stopping`; written under mu, read by spins.
+  std::atomic<bool> ready{false};
+
+  void publish_locked() {
+    ready.store(!q.empty() || stopping, std::memory_order_relaxed);
+  }
 
   void push(Conn* c) {
+    bool wake;
     {
       std::lock_guard<std::mutex> lk(mu);
       if (stopping) return;  // drained server: drop, the conn gets closed
       q.push_back(c);
+      publish_locked();
+      wake = parked > 0;
     }
-    cv.notify_one();
+    if (wake) cv.notify_one();
   }
 
   // Blocks for the next ready connection; keeps draining queued work
   // after stop() and returns nullptr once stopping AND empty.
   Conn* pop_blocking() {
+    const bool wasReady = ready.load(std::memory_order_relaxed);
+    if (!wasReady)
+      core::spin_until([&] { return ready.load(std::memory_order_relaxed); },
+                       core::kWaitSpinNanos);
     std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return !q.empty() || stopping; });
+    const bool mustPark = q.empty() && !stopping;
+    if (mustPark) {
+      parked++;
+      cv.wait(lk, [&] { return !q.empty() || stopping; });
+      parked--;
+    }
+    if (mustPark)
+      counters().readyPopsParked.fetch_add(1, std::memory_order_relaxed);
+    else if (!wasReady)
+      counters().readyPopsSpun.fetch_add(1, std::memory_order_relaxed);
     if (q.empty()) return nullptr;
     Conn* c = q.front();
     q.pop_front();
+    publish_locked();
     return c;
   }
 
@@ -158,6 +192,7 @@ struct ReadyQueue {
     {
       std::lock_guard<std::mutex> lk(mu);
       stopping = true;
+      publish_locked();
     }
     cv.notify_all();
   }

@@ -86,6 +86,11 @@ struct Counters {
   std::atomic<uint64_t> keepAliveReuses{0}; // request #2+ on one connection
   std::atomic<uint64_t> shortWrites{0};     // kServeWriteShort firings
   std::atomic<uint64_t> drainedInFlight{0}; // requests completed during drain
+  // Ready-queue pops that had to wait: parked on the condvar, or found
+  // the queue empty but got a connection inside the spin budget (or on
+  // the recheck under the lock).
+  std::atomic<uint64_t> readyPopsSpun{0};
+  std::atomic<uint64_t> readyPopsParked{0};
   // TxnManager aborts at the last Server::start(): the metrics section
   // reports aborts-per-request over the serving window.
   std::atomic<uint64_t> txnAbortsAtStart{0};

@@ -1,9 +1,14 @@
 // Loopback network, HTTP framing, transactional sockets.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "api/sbd.h"
+#include "common/timing.h"
+#include "core/spin.h"
 #include "net/http.h"
 #include "net/loopback.h"
 
@@ -79,6 +84,113 @@ TEST(Pipe, BlockingReadWokenByCloseWrite) {
   EXPECT_EQ(p.read(buf, 8), 0u);
   EXPECT_FALSE(p.wait_readable());
   closer.join();
+}
+
+// Waits that outlast the reader's spin (core::kWaitSpinNanos) end in a
+// park, and the writer's futex wake must still reach it.
+constexpr auto kPastSpinBudget = std::chrono::nanoseconds(100 * core::kWaitSpinNanos);
+
+// Runs `wait` on this thread and writes one byte from another once
+// `wait` is about to start plus kPastSpinBudget.
+template <class Wait>
+void write_late_while(Pipe& p, Wait wait) {
+  std::atomic<bool> waiting{false};
+  std::thread writer([&] {
+    while (!waiting.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(kPastSpinBudget);
+    p.write("w", 1);
+  });
+  waiting = true;
+  wait();
+  writer.join();
+}
+
+TEST(PipeWait, ReadWokenByWritePastSpinBudget) {
+  Pipe p;
+  const PipeWaitCounts before = pipe_wait_counts();
+  char c = 0;
+  write_late_while(p, [&] { EXPECT_EQ(p.read(&c, 1), 1u); });
+  EXPECT_EQ(c, 'w');
+  EXPECT_GT(pipe_wait_counts().parked, before.parked) << "the wait outlasted the spin";
+}
+
+TEST(PipeWait, WaitReadableWokenByWritePastSpinBudget) {
+  Pipe p;
+  const PipeWaitCounts before = pipe_wait_counts();
+  write_late_while(p, [&] { EXPECT_TRUE(p.wait_readable()); });
+  EXPECT_EQ(p.available(), 1u);
+  EXPECT_GT(pipe_wait_counts().parked, before.parked) << "the wait outlasted the spin";
+}
+
+TEST(PipeWait, EofWokenByCloseWritePastSpinBudget) {
+  Pipe a, b;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(kPastSpinBudget);
+    a.close_write();
+    std::this_thread::sleep_for(kPastSpinBudget);
+    b.close_write();
+  });
+  char c;
+  EXPECT_EQ(a.read(&c, 1), 0u);
+  EXPECT_FALSE(b.wait_readable());
+  closer.join();
+}
+
+// Two threads bounce one byte 20k times. Before each send a thread
+// busy-waits 0, ½, 1 or 2 spin budgets, so the other side's waits end
+// in every way: data already there, caught by the spin, caught by the
+// recheck under the lock, or parked. A lost wake-up hangs a side; the
+// bound catches that, and closing both pipes then frees the threads.
+TEST(PipeWait, PingPongAcrossSpinBudgetFinishes) {
+  constexpr int kRounds = 10000;  // two messages per round
+  constexpr auto kBound = std::chrono::seconds(60);
+  auto delay = [](uint64_t i) {
+    constexpr uint64_t kHalfBudgets[] = {0, 1, 2, 4};
+    const uint64_t pick = (i * 0x9E3779B97F4A7C15ull) >> 62;
+    const uint64_t until = now_nanos() + kHalfBudgets[pick] * core::kWaitSpinNanos / 2;
+    while (now_nanos() < until) core::cpu_relax();
+  };
+  Pipe ping, pong;
+  std::atomic<int> done{0}, rounds{0};
+  const PipeWaitCounts before = pipe_wait_counts();
+  const auto start = std::chrono::steady_clock::now();
+  std::thread a([&] {
+    char c = 'p';
+    for (int i = 0; i < kRounds; i++) {
+      delay(2 * static_cast<uint64_t>(i));
+      ping.write(&c, 1);
+      if (pong.read(&c, 1) != 1) break;
+      rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+    done.fetch_add(1);
+  });
+  std::thread b([&] {
+    char c;
+    for (int i = 0; i < kRounds; i++) {
+      if (ping.read(&c, 1) != 1) break;
+      delay(2 * static_cast<uint64_t>(i) + 1);
+      pong.write(&c, 1);
+    }
+    done.fetch_add(1);
+  });
+  while (done.load() < 2 && std::chrono::steady_clock::now() - start < kBound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const bool finished = done.load() == 2;
+  ping.close_write();  // frees a hung side: its read sees EOF
+  pong.close_write();
+  a.join();
+  b.join();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(finished) << "hung after " << rounds.load() << " of " << kRounds << " rounds";
+  EXPECT_EQ(rounds.load(), kRounds);
+  const PipeWaitCounts after = pipe_wait_counts();
+  const uint64_t waits = (after.spun - before.spun) + (after.parked - before.parked);
+  EXPECT_GT(waits, 0u);
+  EXPECT_LE(waits, 2u * kRounds) << "at most one count per read";
+  std::printf("ping-pong: %.2f s, %llu waits spun, %llu parked\n", secs,
+              static_cast<unsigned long long>(after.spun - before.spun),
+              static_cast<unsigned long long>(after.parked - before.parked));
 }
 
 TEST(Network, ConnectAcceptPair) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "core/spin.h"
 #include "db/db.h"
 #include "net/http.h"
 #include "net/loopback.h"
@@ -256,6 +258,40 @@ TEST(Serve, ShutdownIsIdempotentAndRestartableProcessWide) {
   g.server->shutdown();
 }
 
+// Idle workers spin on the ready queue for core::kWaitSpinNanos, then
+// park; the edge callback's push must still wake one.
+constexpr auto kPastSpinBudget = std::chrono::nanoseconds(100 * core::kWaitSpinNanos);
+
+TEST(Serve, WorkersParkedPastSpinBudgetStillServe) {
+  ServerFixture f(/*workers=*/2);
+  Client c(f.cfg.port);
+  EXPECT_EQ(c.request("PUT", "/kv/4", "idle"), 201);
+  const uint64_t parkedBefore = counters().readyPopsParked.load();
+  std::this_thread::sleep_for(kPastSpinBudget);
+  std::string body;
+  EXPECT_EQ(c.request("GET", "/kv/4", "", &body), 200);
+  EXPECT_EQ(body, "idle");
+  c.close();
+  f.server->shutdown();
+  // Whichever worker did not serve the first request was idle across
+  // the sleep; its pop is counted when it returns, by shutdown at the
+  // latest.
+  EXPECT_GT(counters().readyPopsParked.load(), parkedBefore) << "an idle worker parked";
+}
+
+TEST(Serve, ShutdownWithParkedWorkersReturnsWellInsideDrainTimeout) {
+  ServerFixture f(/*workers=*/2);
+  Client c(f.cfg.port);
+  EXPECT_EQ(c.request("PUT", "/kv/5", "idle"), 201);
+  std::this_thread::sleep_for(kPastSpinBudget);
+  const auto start = std::chrono::steady_clock::now();
+  f.server->shutdown();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(static_cast<uint64_t>(took.count()), f.cfg.drainTimeoutMs / 10);
+  c.close();
+}
+
 TEST(Serve, MetricsSectionIsValidJsonShape) {
   ServerFixture f;
   Client c(f.cfg.port);
@@ -268,6 +304,8 @@ TEST(Serve, MetricsSectionIsValidJsonShape) {
   EXPECT_NE(m.find("\"accepted\":"), std::string::npos);
   EXPECT_NE(m.find("\"abortPerRequest\":"), std::string::npos);
   EXPECT_NE(m.find("\"parkedWaiterDepth\":"), std::string::npos);
+  EXPECT_NE(m.find("\"readyPopsSpun\":"), std::string::npos);
+  EXPECT_NE(m.find("\"readyPopsParked\":"), std::string::npos);
 }
 
 }  // namespace

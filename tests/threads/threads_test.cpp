@@ -130,7 +130,11 @@ TEST(Barrier, AllThreadsMeet) {
     std::vector<SbdThread> ts;
     for (int i = 0; i < 4; i++) {
       ts.emplace_back([&] {
+        // A plain atomic, so its section must end right here: a section
+        // that also ran the start of sync() could be aborted and re-run
+        // under versioned granularity, counting this thread twice.
         beforeCount++;
+        split();
         allow_split([&] { bar.get().sync(); });
         // Everyone passed the barrier only after all 4 arrived.
         afterMax = std::max(afterMax.load(), beforeCount.load());
