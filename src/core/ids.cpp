@@ -1,10 +1,10 @@
 #include "core/ids.h"
 
 #include <bit>
-#include <chrono>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/timing.h"
 #include "core/queue.h"
 
 namespace sbd::core {
@@ -18,11 +18,6 @@ unsigned home_shard() {
   return home;
 }
 
-// One park slice while over-subscribed. Short enough that a wake lost
-// to barging (a never-parked thread stealing the freed id) costs
-// bounded latency, long enough that 100+ parked threads do not turn
-// into a polling herd.
-constexpr uint64_t kParkSliceNanos = 10'000'000;
 }  // namespace
 
 TxnIdPool::TxnIdPool() {
@@ -47,50 +42,20 @@ int TxnIdPool::try_acquire() {
 
 int TxnIdPool::acquire_for(uint64_t timeoutNanos) {
   int id = try_acquire();
-  if (id >= 0) return id;
-
-  auto& lot = ParkingLot::instance();
-  WaitNode node;
-  node.word = &parkSentinel_;
-  node.idPool = true;
-  // Order matters against release(): the waiter count rises BEFORE the
-  // re-check below, and release() frees the id BEFORE reading the
-  // count — so either the releaser sees us (and wakes), or our re-check
-  // sees the freed id. Both seq_cst RMWs, a store-load fence apart.
-  waiters_.fetch_add(1, std::memory_order_seq_cst);
-  lot.publish(node);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeoutNanos);
-  for (;;) {
-    // Consume a pending signal first: if it raced in between the last
-    // try_acquire and here, the freed bit is already visible below.
-    uint32_t st = kNodeSignaled;
-    node.state.compare_exchange_strong(st, kNodeWaiting, std::memory_order_relaxed);
+  const uint64_t deadline =
+      timeoutNanos == kNoDeadline ? kNoDeadline : now_nanos() + timeoutNanos;
+  while (id < 0) {
+    // release() frees the bit before it unparks, so the lot's recheck
+    // of available() cannot miss a freed id.
+    const ParkResult r = ParkingLot::instance().park(
+        shards_, [this] { return available() == 0; }, 0, deadline);
     id = try_acquire();
-    if (id >= 0) break;
-    const auto left = deadline - std::chrono::steady_clock::now();
-    if (left <= std::chrono::nanoseconds::zero()) break;
-    const uint64_t slice =
-        std::min<uint64_t>(static_cast<uint64_t>(left.count()), kParkSliceNanos);
-    lot.park(node, slice);
+    if (r == ParkResult::kTimedOut) break;
   }
-  waiters_.fetch_sub(1, std::memory_order_seq_cst);
-  lot.remove(node);
-  // Pass the baton: we may have absorbed a wake we did not use (we
-  // timed out, or barged an id a signal was not meant for). If ids are
-  // free and someone still waits, hand the wake on.
-  if (waiters_.load(std::memory_order_seq_cst) > 0 && available() > 0)
-    lot.unpark_one(&parkSentinel_);
   return id;
 }
 
-int TxnIdPool::acquire() {
-  for (;;) {
-    const int id = acquire_for(1'000'000'000);
-    if (id >= 0) return id;
-  }
-}
+int TxnIdPool::acquire() { return acquire_for(kNoDeadline); }
 
 void TxnIdPool::release(int id) {
   SBD_CHECK(id >= 0 && id < kMaxTxns);
@@ -98,8 +63,7 @@ void TxnIdPool::release(int id) {
   const uint64_t bit = 1ULL << (id % kIdsPerShard);
   const uint64_t prev = shards_[s].fetch_or(bit, std::memory_order_seq_cst);
   SBD_CHECK_MSG((prev & bit) == 0, "double release of txn id");
-  if (waiters_.load(std::memory_order_seq_cst) > 0)
-    ParkingLot::instance().unpark_one(&parkSentinel_);
+  ParkingLot::instance().unpark_one(shards_);
 }
 
 int TxnIdPool::available() const {
@@ -109,7 +73,9 @@ int TxnIdPool::available() const {
   return n;
 }
 
-int TxnIdPool::waiters() const { return waiters_.load(std::memory_order_acquire); }
+int TxnIdPool::waiters() const {
+  return static_cast<int>(ParkingLot::instance().parked_on(shards_));
+}
 
 std::string TxnIdPool::diagnose() const {
   std::ostringstream os;

@@ -3,8 +3,8 @@
 // into shards claimed by lock-free CAS (each thread starts at a hashed
 // home shard, so uncontended acquire/release never meet); when every
 // shard is empty the acquirer parks in the parking lot (core/queue.h)
-// on the pool's sentinel key, and release wakes exactly ONE waiter —
-// >56 threads queue cheaply instead of convoying on a central mutex +
+// keyed by the pool, and release wakes exactly ONE waiter — >56
+// threads queue cheaply instead of convoying on a central mutex +
 // condvar (paper §3.3 — safe because sections never nest and waiting
 // threads hold no locks).
 #pragma once
@@ -29,16 +29,17 @@ class TxnIdPool {
   // Non-blocking variant; returns -1 if the pool is exhausted.
   int try_acquire();
 
-  // Timeout-and-diagnose variant: blocks at most timeoutNanos, returns
-  // -1 on timeout so the caller can report the stall (core/watchdog.h)
-  // and keep waiting in bounded slices instead of blocking invisibly.
+  // Timeout-and-diagnose variant: blocks at most timeoutNanos
+  // (kNoDeadline = no limit), returns -1 on timeout so the caller can
+  // report the stall (core/watchdog.h) and keep waiting in bounded
+  // slices instead of blocking invisibly.
   int acquire_for(uint64_t timeoutNanos);
 
   void release(int id);
 
   int available() const;
 
-  // Number of threads currently blocked in acquire/acquire_for.
+  // Number of threads currently parked in acquire/acquire_for.
   int waiters() const;
 
   // One-line snapshot ("txn-id pool: 0/56 free, 6 waiting") for stall
@@ -52,12 +53,8 @@ class TxnIdPool {
   static constexpr int kIdsPerShard = kMaxTxns / kShards;
   static_assert(kShards * kIdsPerShard == kMaxTxns, "ids must split evenly");
 
+  // Over-subscribed acquirers park on the address of shards_.
   std::atomic<uint64_t> shards_[kShards];
-  std::atomic<int> waiters_{0};
-  // Parking-lot key for over-subscribed acquirers. Only its ADDRESS is
-  // used (bucket hash + node filter); it is never read or CASed as a
-  // lock word.
-  LockWord parkSentinel_ = 0;
 };
 
 }  // namespace sbd::core

@@ -630,7 +630,7 @@ std::string metrics_json() {
   const core::ParkingLot::Counters pk = core::ParkingLot::counters();
   os << "\"parked\": " << pk.parked << ", \"spun_granted\": " << pk.spunGranted
      << ", \"futex_wakes\": " << pk.futexWakes << ", \"handoffs\": " << pk.handoffs
-     << ", \"id_wakes\": " << pk.idWakes;
+     << ", \"keyed_wakes\": " << pk.keyedWakes;
   os << "},\n  \"watchdog\": {";
   os << "\"stalls\": " << core::Watchdog::stalls_detected()
      << ", \"victims\": " << core::Watchdog::victims_aborted();

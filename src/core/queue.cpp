@@ -5,18 +5,15 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/timing.h"
 #include "core/fault.h"
-#include "core/spin.h"
 #include "core/transaction.h"
 
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <ctime>
-#endif
 
 namespace sbd::core {
 
@@ -37,38 +34,64 @@ inline void maybe_delay(fault::Site site) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
 
-// Local-spin budget before a waiter pays for a futex park. Small on
-// purpose: on few-core hosts the grantor cannot run while we spin, so
-// the budget only needs to cover the "releaser is mid-handoff on
-// another core" window.
-constexpr int kSpinBudget = 64;
+// Local-spin budget of a lock-word waiter before it pays for a futex
+// park. Small on purpose: on few-core hosts the grantor cannot run
+// while we spin, so the budget only needs to cover the "releaser is
+// mid-handoff on another core" window, not a request round trip.
+constexpr int kLockSpinPauses = 64;
 
 std::atomic<uint64_t> gParked{0};
 std::atomic<uint64_t> gSpunGranted{0};
 std::atomic<uint64_t> gFutexWakes{0};
 std::atomic<uint64_t> gHandoffs{0};
-std::atomic<uint64_t> gIdWakes{0};
+std::atomic<uint64_t> gKeyedWakes{0};
 
-#if defined(__linux__)
-void futex_wait(std::atomic<uint32_t>* addr, uint32_t expected, uint64_t timeoutNanos) {
-  timespec ts;
-  timespec* tsp = nullptr;
-  if (timeoutNanos != 0) {
-    ts.tv_sec = static_cast<time_t>(timeoutNanos / 1'000'000'000);
-    ts.tv_nsec = static_cast<long>(timeoutNanos % 1'000'000'000);
-    tsp = &ts;
-  }
-  // EAGAIN (value changed), EINTR, ETIMEDOUT are all fine: the caller
-  // re-checks node state / word state in a loop.
-  syscall(SYS_futex, reinterpret_cast<uint32_t*>(addr), FUTEX_WAIT_PRIVATE, expected,
-          tsp, nullptr, 0);
+// One polite busy-wait step. The only place the architecture's pause
+// instruction is named, so non-x86 builds still compile.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
 }
 
-void futex_wake_one(std::atomic<uint32_t>* addr) {
-  syscall(SYS_futex, reinterpret_cast<uint32_t*>(addr), FUTEX_WAKE_PRIVATE, 1, nullptr,
+// The one spin loop: polls `ready` with a pause between polls until it
+// holds or the budget runs out — `maxNanos` of wall clock if non-zero,
+// else `maxPauses` pauses. Returns whether `ready` held. The spin never
+// decides anything: a miss (or one CPU, where the awaited thread
+// cannot run meanwhile) only delays the park.
+template <class Ready>
+bool spin_until(Ready ready, int maxPauses, uint64_t maxNanos) {
+  const uint64_t end = maxNanos != 0 ? now_nanos() + maxNanos : 0;
+  for (int i = 0;; i++) {
+    if (ready()) return true;
+    if (end != 0 ? now_nanos() >= end : i >= maxPauses) return false;
+    cpu_relax();
+  }
+}
+
+// Sleeps while n.state is kNodeWaiting, for at most `timeoutNanos`
+// (0 = no limit). EAGAIN (the state already changed), EINTR and
+// ETIMEDOUT are all fine: every caller re-checks in a loop.
+void sleep_on(WaitNode& n, uint64_t timeoutNanos) {
+  gParked.fetch_add(1, std::memory_order_relaxed);
+  timespec ts{static_cast<time_t>(timeoutNanos / 1'000'000'000),
+              static_cast<long>(timeoutNanos % 1'000'000'000)};
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&n.state), FUTEX_WAIT_PRIVATE, kNodeWaiting,
+          timeoutNanos != 0 ? &ts : nullptr, nullptr, 0);
+}
+
+// Wakes the sleeper of a node whose state just left kNodeWaiting. The
+// node outlives this call: wakes happen under the bucket lock, and the
+// waiter re-takes that lock before it can return.
+void wake(WaitNode& n) {
+  gFutexWakes.fetch_add(1, std::memory_order_relaxed);
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&n.state), FUTEX_WAKE_PRIVATE, 1, nullptr,
           nullptr, 0);
 }
-#endif
 
 }  // namespace
 
@@ -77,9 +100,9 @@ ParkingLot& ParkingLot::instance() {
   return lot;
 }
 
-ParkingLot::Bucket& ParkingLot::bucket_for(const LockWord* w) {
-  // Fibonacci hash of the word address; low bits are alignment noise.
-  uint64_t h = reinterpret_cast<uint64_t>(w) >> 3;
+ParkingLot::Bucket& ParkingLot::bucket_for(const void* key) {
+  // Fibonacci hash of the address; low bits are alignment noise.
+  uint64_t h = reinterpret_cast<uint64_t>(key) >> 3;
   h *= 0x9E3779B97F4A7C15ULL;
   return buckets_[(h >> 58) & (kBuckets - 1)];
 }
@@ -123,18 +146,6 @@ void ParkingLot::unlink_locked(Bucket& b, WaitNode& n) {
   n.next = nullptr;
 }
 
-void ParkingLot::wake(WaitNode& n) {
-  gFutexWakes.fetch_add(1, std::memory_order_relaxed);
-#if defined(__linux__)
-  futex_wake_one(&n.state);
-#else
-  // The node outlives this call: wakes happen under the bucket lock and
-  // the waiter re-takes that lock before it can unlink and return.
-  std::lock_guard<std::mutex> lk(n.mu);
-  n.cv.notify_one();
-#endif
-}
-
 void ParkingLot::publish(WaitNode& n) {
   SBD_DCHECK(n.word != nullptr);
   Bucket& b = bucket_for(n.word);
@@ -153,7 +164,7 @@ void ParkingLot::publish(WaitNode& n) {
 void ParkingLot::forget_digests_locked(Bucket& b, const LockWord* word) {
   auto& mgr = TxnManager::instance();
   for (WaitNode* n = b.head; n; n = n->next)
-    if (n->word == word && !n->idPool && n->txnId >= 0)
+    if (n->word == word && n->txnId >= 0)
       mgr.digest_slot(n->txnId).store(0, std::memory_order_release);
 }
 
@@ -163,7 +174,7 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
     WaitNode* front = nullptr;
     size_t total = 0;
     for (WaitNode* n = b.head; n; n = n->next) {
-      if (n->word != word || n->idPool) continue;
+      if (n->word != word) continue;
       if (!front) front = n;
       total++;
     }
@@ -197,7 +208,7 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
       }
     } else if (!has_writer(w) && !has_upgrader(w)) {
       for (WaitNode* n = front; n; n = n->next) {
-        if (n->word != word || n->idPool) continue;
+        if (n->word != word) continue;
         if (n->wantWrite || n->upgrader) break;
         grant[ng++] = n;
         target = with_member(target, n->mask);
@@ -239,13 +250,13 @@ GrantProbe ParkingLot::try_grant_self(ThreadContext& tc, WaitNode& n) {
     bool isFront = true;
     size_t total = 1;
     for (WaitNode* m = b.head; m && m != &n; m = m->next) {
-      if (m->word != n.word || m->idPool) continue;
+      if (m->word != n.word) continue;
       isFront = false;
       if (m->txnId >= 0) ahead |= 1ULL << m->txnId;
       if (m->wantWrite || m->upgrader) aheadWriter = true;
     }
     for (WaitNode* m = n.next; m; m = m->next)
-      if (m->word == n.word && !m->idPool) total++;
+      if (m->word == n.word) total++;
     if (!isFront) total++;  // at least one ahead (exact count not needed)
 
     LockWord w = aw->load(std::memory_order_acquire);
@@ -304,22 +315,12 @@ CancelResult ParkingLot::cancel(ThreadContext& tc, WaitNode& n) {
 }
 
 void ParkingLot::park(WaitNode& n, uint64_t timeoutNanos) {
-  for (int i = 0; i < kSpinBudget; i++) {
-    if (n.state.load(std::memory_order_acquire) != kNodeWaiting) {
-      gSpunGranted.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    cpu_relax();
+  if (spin_until([&] { return n.state.load(std::memory_order_acquire) != kNodeWaiting; },
+                 kLockSpinPauses, 0)) {
+    gSpunGranted.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  gParked.fetch_add(1, std::memory_order_relaxed);
-#if defined(__linux__)
-  futex_wait(&n.state, kNodeWaiting, timeoutNanos);
-#else
-  std::unique_lock<std::mutex> lk(n.mu);
-  n.cv.wait_for(lk, std::chrono::nanoseconds(timeoutNanos), [&] {
-    return n.state.load(std::memory_order_acquire) != kNodeWaiting;
-  });
-#endif
+  sleep_on(n, timeoutNanos);
 }
 
 void ParkingLot::unpark_word(ThreadContext& tc, const LockWord* word) {
@@ -333,7 +334,7 @@ void ParkingLot::unpark_txn(const LockWord* word, int txnId) {
   Bucket& b = bucket_for(word);
   std::lock_guard<std::mutex> lk(b.mu);
   for (WaitNode* n = b.head; n; n = n->next) {
-    if (n->word != word || n->idPool || n->txnId != txnId) continue;
+    if (n->word != word || n->txnId != txnId) continue;
     uint32_t st = kNodeWaiting;
     if (n->state.compare_exchange_strong(st, kNodeSignaled, std::memory_order_release))
       wake(*n);
@@ -341,26 +342,71 @@ void ParkingLot::unpark_txn(const LockWord* word, int txnId) {
   }
 }
 
-void ParkingLot::remove(WaitNode& n) {
-  Bucket& b = bucket_for(n.word);
+// Keyed waits. No lost wakeup (docs/SEMANTICS.md): the waiter raises
+// keyedCount and then re-checks stillBlocked, the waker stores its
+// state change and then reads keyedCount, with a seq_cst fence between
+// each pair. Either the recheck sees the change, or the waker sees the
+// count and takes the bucket lock, which the waiter held from the
+// count until its node was linked.
+ParkResult ParkingLot::park_keyed(const void* key, BlockedFn blocked, const void* ctx,
+                                  uint64_t spinNanos, uint64_t deadlineNanos) {
+  // With spinNanos == 0 this is one lock-free check.
+  if (spin_until([&] { return !blocked(ctx); }, 0, spinNanos)) {
+    if (spinNanos != 0) gSpunGranted.fetch_add(1, std::memory_order_relaxed);
+    return ParkResult::kNotBlocked;
+  }
+  Bucket& b = bucket_for(key);
+  WaitNode n;
+  n.word = static_cast<const LockWord*>(key);  // a key, never a real lock word
+  {
+    std::lock_guard<std::mutex> lk(b.mu);
+    b.keyedCount.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!blocked(ctx) || now_nanos() >= deadlineNanos) {
+      b.keyedCount.fetch_sub(1, std::memory_order_relaxed);
+      return blocked(ctx) ? ParkResult::kTimedOut : ParkResult::kNotBlocked;
+    }
+    link_locked(b, n);
+  }
+  for (uint64_t now; n.state.load(std::memory_order_acquire) == kNodeWaiting &&
+                     (now = now_nanos()) < deadlineNanos;)
+    sleep_on(n, deadlineNanos == kNoDeadline ? 0 : deadlineNanos - now);
   std::lock_guard<std::mutex> lk(b.mu);
+  // Signaled: the unpark already unlinked and uncounted us.
+  if (n.state.load(std::memory_order_acquire) != kNodeWaiting) return ParkResult::kUnparked;
   unlink_locked(b, n);
+  b.keyedCount.fetch_sub(1, std::memory_order_relaxed);
+  return ParkResult::kTimedOut;
 }
 
-bool ParkingLot::unpark_one(const LockWord* key) {
+size_t ParkingLot::unpark(const void* key, size_t max) {
   Bucket& b = bucket_for(key);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (b.keyedCount.load(std::memory_order_relaxed) == 0) return 0;
   std::lock_guard<std::mutex> lk(b.mu);
   maybe_delay(fault::Site::kQueueWakeup);
-  for (WaitNode* n = b.head; n; n = n->next) {
-    if (n->word != key || !n->idPool) continue;
-    uint32_t st = kNodeWaiting;
-    if (!n->state.compare_exchange_strong(st, kNodeSignaled, std::memory_order_release))
-      continue;  // already signaled: do not burn the wake, try the next waiter
-    gIdWakes.fetch_add(1, std::memory_order_relaxed);
-    wake(*n);
-    return true;
+  size_t woken = 0;
+  for (WaitNode* n = b.head; n && woken < max;) {
+    WaitNode* next = n->next;
+    if (n->word == key) {
+      unlink_locked(b, *n);
+      b.keyedCount.fetch_sub(1, std::memory_order_relaxed);
+      n->state.store(kNodeSignaled, std::memory_order_release);
+      wake(*n);
+      woken++;
+    }
+    n = next;
   }
-  return false;
+  gKeyedWakes.fetch_add(woken, std::memory_order_relaxed);
+  return woken;
+}
+
+size_t ParkingLot::parked_on(const void* key) {
+  Bucket& b = bucket_for(key);
+  std::lock_guard<std::mutex> lk(b.mu);
+  size_t n = 0;
+  for (WaitNode* w = b.head; w; w = w->next) n += w->word == key;
+  return n;
 }
 
 ParkingLot::Counters ParkingLot::counters() {
@@ -368,7 +414,7 @@ ParkingLot::Counters ParkingLot::counters() {
                   gSpunGranted.load(std::memory_order_relaxed),
                   gFutexWakes.load(std::memory_order_relaxed),
                   gHandoffs.load(std::memory_order_relaxed),
-                  gIdWakes.load(std::memory_order_relaxed)};
+                  gKeyedWakes.load(std::memory_order_relaxed)};
 }
 
 size_t ParkingLot::approx_waiters() {

@@ -1,29 +1,29 @@
-// The parking lot behind the paper's §3.2 fair wait queues: per-waiter
-// nodes live on the waiter's OWN stack and are linked into a bucket of a
-// hashed stripe table keyed by lock-word address. A waiter spins locally
-// on its node's state flag for a bounded budget, then parks on a futex
-// (condvar fallback off Linux). Release performs a DIRECT HANDOFF: the
-// releaser CASes the grantable prefix of the word's FIFO — readers up to
-// the first writer, or one writer — into the lock word under the bucket
-// lock, dequeues exactly those nodes, and wakes exactly them. Nobody
-// else stirs, which is what replaced the old 63-queue global pool's
-// notify_all thundering herd (and the pool's central alloc/free mutex).
+// The parking lot: the runtime's one blocking-wait mechanism, behind
+// the paper's §3.2 fair wait queues and every §3.5 blocking operation.
+// A waiter's node lives on its OWN stack and is linked into one of 64
+// buckets hashed by the address it waits on. It spins for a bounded
+// budget, then parks on a Linux futex. The lot has two clients:
 //
-// The lock word carries one has-waiters bit instead of the old 6-bit
-// queue id (core/lockword.h): the word's address, not a pool index, maps
-// to the waiters. Fairness (strict FIFO, upgraders at the front), the
-// Dreadlocks digest inputs, and the GC boundObj root all ride in the
-// waiter node.
+// - Lock words (core/transaction.cpp slow_acquire). Release performs a
+//   DIRECT HANDOFF: the releaser CASes the grantable prefix of the
+//   word's FIFO — readers up to the first writer, or one writer — into
+//   the lock word under the bucket lock, dequeues exactly those nodes,
+//   and wakes exactly them. The lock word carries one has-waiters bit;
+//   fairness (strict FIFO, upgraders at the front), the Dreadlocks
+//   digest inputs and the GC boundObj root ride in the WaitNode.
+// - Keyed waits (park / unpark_one / unpark_all, the WebKit ParkingLot
+//   shape): the txn-id pool, net::Pipe, the serve ready queue, the db
+//   row and table locks, SbdThread::join and the Monitor wait sets. The
+//   waiter names a key and a `stillBlocked` predicate over atomics; the
+//   waker changes the state the predicate reads, then unparks the key.
 //
-// Lost-wakeup protocol (proved in docs/SEMANTICS.md): a waiter publishes
-// its node under the bucket lock, THEN sets the has-waiters bit, THEN
-// re-checks the word (try_grant_self) before parking. A releaser that
-// missed the bit is therefore ordered before the waiter's re-check; a
-// releaser that saw the bit runs its grant pass under the same bucket
-// lock the node was published under. Either way the waiter is granted,
-// never forgotten. Parks are additionally timed (the waiter re-publishes
-// its deadlock digest each tick), so even a reasoning bug here degrades
-// to latency, not a hang.
+// Lost-wakeup protocols (proved in docs/SEMANTICS.md). Lock words: a
+// waiter publishes its node under the bucket lock, THEN sets the
+// has-waiters bit, THEN re-checks the word (try_grant_self) before
+// parking. Keyed waits: a waiter counts itself in its bucket, THEN
+// re-checks `stillBlocked` under the bucket lock before linking its
+// node; a waker stores its state change, THEN reads the bucket's count,
+// and takes the bucket lock only when it is non-zero.
 #pragma once
 
 #include <atomic>
@@ -31,47 +31,60 @@
 #include <cstdint>
 #include <mutex>
 
-#if !defined(__linux__)
-#include <condition_variable>
-#endif
-
 #include "core/fwd.h"
 #include "core/lockword.h"
 
 namespace sbd::core {
 
+// The spin budget of the keyed waits on a request hand-off: the first
+// wait of a net::Pipe read and of a sbd::serve ready-queue pop. 50 µs
+// covers a cross-CPU request/response hand-off on the serve path;
+// 20 µs lost most of the latency gain, and 100 µs gained nothing more
+// (DESIGN, "The parking lot"). Lock-word waits keep a 64-pause budget
+// instead, and the other keyed waits (id pool, db locks, join,
+// Monitor, accept, connect, a writer waiting for room) do not spin.
+inline constexpr uint64_t kWaitSpinNanos = 50'000;
+
+// Deadline of a keyed park that waits until it is unparked.
+inline constexpr uint64_t kNoDeadline = UINT64_MAX;
+
+// How a keyed park ended.
+enum class ParkResult {
+  kNotBlocked,  // stillBlocked() was false during the spin or the recheck
+  kUnparked,    // slept until an unpark_one/unpark_all on the key
+  kTimedOut,    // the deadline passed first
+};
+
 struct ThreadContext;  // defined in core/transaction.h
 
 // Waiter-node states (the futex word). Transitions:
 //   kWaiting -> kGranted   direct handoff (unpark path CASed the word for us)
-//   kWaiting -> kSignaled  advisory wake (abort request, id released): re-check
+//   kWaiting -> kSignaled  advisory wake (abort request) or keyed unpark
 //   kSignaled -> kWaiting  the signal was consumed without a grant
 // kGranted is terminal: the node is already unlinked and the lock is ours.
+// A keyed node is unlinked by the unpark that signals it.
 inline constexpr uint32_t kNodeWaiting = 0;
 inline constexpr uint32_t kNodeSignaled = 1;
 inline constexpr uint32_t kNodeGranted = 2;
 
 // One waiter. Allocated on the waiting thread's stack frame inside
-// slow_acquire / TxnIdPool::acquire_for; never heap-allocated, never
-// copied. While linked into a bucket it is a GC root for boundObj and
-// the source of the "waiters ahead of me" Dreadlocks digest bits.
+// slow_acquire or a keyed park; never heap-allocated, never copied.
+// While linked into a bucket a lock-word waiter is a GC root for
+// boundObj and the source of the "waiters ahead of me" Dreadlocks
+// digest bits. A keyed waiter sets only `word` (its key): a key is
+// never a lock word's address, so the lock-word paths, which filter
+// every list walk on the word, never see it.
 struct WaitNode {
-  const LockWord* word = nullptr;              // bucket key (id pool: sentinel)
+  const LockWord* word = nullptr;              // bucket key
   runtime::ManagedObject* boundObj = nullptr;  // pins the instance while we wait
   int txnId = -1;
   LockWord mask = 0;        // txn_mask(txnId)
   bool wantWrite = false;   // true for writers AND upgraders
   bool upgrader = false;    // holds a read lock + the U bit already
-  bool idPool = false;      // txn-id over-subscription waiter (no word handoff)
 
   std::atomic<uint32_t> state{kNodeWaiting};
   WaitNode* prev = nullptr;  // intrusive bucket list, guarded by the bucket lock
   WaitNode* next = nullptr;
-
-#if !defined(__linux__)
-  std::mutex mu;                // portable park fallback (no futex syscall)
-  std::condition_variable cv;
-#endif
 };
 
 // Result of one grant probe by the waiter itself.
@@ -138,16 +151,30 @@ class ParkingLot {
   // dereferenced — safe even if the victim already left.
   void unpark_txn(const LockWord* word, int txnId);
 
-  // --- id-pool waiters (core/ids.cpp) ---------------------------------------
+  // --- keyed waits ------------------------------------------------------------
 
-  // Unlinks an id-pool node (no grant pass, no word bit — the sentinel
-  // word is never a real lock).
-  void remove(WaitNode& n);
+  // Waits on `key` while `stillBlocked()` holds: spins for `spinNanos`,
+  // then parks until an unpark on `key` or until `deadlineNanos` (on
+  // the now_nanos() clock; kNoDeadline = none). `stillBlocked` must
+  // read only atomics: it runs during the spin and once more under the
+  // bucket lock, after the waiter counted itself in the bucket. The
+  // result is a hint — callers re-check their own state and loop.
+  template <class Blocked>
+  ParkResult park(const void* key, const Blocked& stillBlocked, uint64_t spinNanos,
+                  uint64_t deadlineNanos) {
+    return park_keyed(
+        key, [](const void* f) { return (*static_cast<const Blocked*>(f))(); },
+        &stillBlocked, spinNanos, deadlineNanos);
+  }
 
-  // Wakes the first still-kWaiting id-pool node parked on `key` (skipping
-  // already-signaled ones, so one release never burns its wake on a
-  // waiter that is already up). Returns true if someone was signaled.
-  bool unpark_one(const LockWord* key);
+  // Wake one / every waiter parked on `key`. Call after the state change
+  // that unblocks them. A bucket with no parked keyed waiter costs a
+  // fence and a load: no lock, no syscall. `key` is never dereferenced.
+  bool unpark_one(const void* key) { return unpark(key, 1) != 0; }
+  size_t unpark_all(const void* key) { return unpark(key, SIZE_MAX); }
+
+  // Keyed waiters currently parked on `key` (diagnostics).
+  size_t parked_on(const void* key);
 
   // --- GC / watchdog --------------------------------------------------------
 
@@ -174,7 +201,7 @@ class ParkingLot {
     WaitNode* me = nullptr;
     size_t depth = 0;
     for (WaitNode* n = b.head; n; n = n->next) {
-      if (n->word != word || n->idPool) continue;
+      if (n->word != word) continue;
       depth++;
       if (n->txnId == txnId) me = n;
     }
@@ -186,15 +213,15 @@ class ParkingLot {
   // --- metrics --------------------------------------------------------------
 
   struct Counters {
-    uint64_t parked = 0;       // futex/condvar parks entered (spin budget missed)
-    uint64_t spunGranted = 0;  // grants/signals observed during the local spin
-    uint64_t futexWakes = 0;   // wake syscalls issued (handoffs + signals)
+    uint64_t parked = 0;       // parks that slept (spin budget missed), every client
+    uint64_t spunGranted = 0;  // waits that ended during the spin
+    uint64_t futexWakes = 0;   // wake syscalls issued (handoffs, signals, unparks)
     uint64_t handoffs = 0;     // nodes granted by direct handoff (unpark side)
-    uint64_t idWakes = 0;      // unpark_one signals (id-pool wake-one discipline)
+    uint64_t keyedWakes = 0;   // keyed waiters woken by unpark_one/unpark_all
   };
   static Counters counters();
 
-  // Live waiter-node count across all buckets (lock + id-pool waiters)
+  // Live waiter-node count across all buckets (lock + keyed waiters)
   // — the instantaneous parked-waiter depth the serving metrics report.
   // Takes each bucket lock briefly; export-path only, never hot.
   static size_t approx_waiters();
@@ -206,6 +233,9 @@ class ParkingLot {
     std::mutex mu;
     WaitNode* head = nullptr;
     WaitNode* tail = nullptr;
+    // Linked keyed nodes. Raised under mu before the waiter's recheck;
+    // read without mu by every unpark (the no-lock, no-syscall path).
+    std::atomic<uint32_t> keyedCount{0};
   };
 
   // 64 buckets: the working set of distinct CONTENDED words at any
@@ -214,7 +244,12 @@ class ParkingLot {
   // semantics (every list op filters on n->word).
   static constexpr size_t kBuckets = 64;
 
-  Bucket& bucket_for(const LockWord* w);
+  using BlockedFn = bool (*)(const void*);
+  ParkResult park_keyed(const void* key, BlockedFn blocked, const void* ctx,
+                        uint64_t spinNanos, uint64_t deadlineNanos);
+  size_t unpark(const void* key, size_t max);
+
+  Bucket& bucket_for(const void* key);
   void link_locked(Bucket& b, WaitNode& n);
   void unlink_locked(Bucket& b, WaitNode& n);
   // Hands the grantable prefix of `word` its locks. Pre: b.mu held.
@@ -222,9 +257,34 @@ class ParkingLot {
   // Clears the Dreadlocks digests of the waiters queued on `word`.
   // Pre: b.mu held.
   static void forget_digests_locked(Bucket& b, const LockWord* word);
-  static void wake(WaitNode& n);
 
   Bucket buckets_[kBuckets];
 };
+
+// The hand-off wait of net::Pipe reads and the serve ready queue:
+// waits until `ready()` holds under `mu`, parking on `flag` (a
+// lock-free mirror of `ready()`, written under `mu`) while it reads
+// false. Only the first wait spins, kWaitSpinNanos: a waiter that lost
+// the hand-off to another parks at once instead of spinning hot for
+// the next one. Counts a wait that ended without sleeping in `spun`,
+// one that slept in `parked`. Returns with `mu` held.
+template <class Ready>
+std::unique_lock<std::mutex> await_handoff(const std::atomic<bool>& flag, std::mutex& mu,
+                                           Ready ready, std::atomic<uint64_t>& spun,
+                                           std::atomic<uint64_t>& parked) {
+  bool waited = false, slept = false;
+  for (uint64_t spin = kWaitSpinNanos;; spin = 0) {
+    if (!flag.load(std::memory_order_relaxed)) {
+      waited = true;
+      slept |= ParkingLot::instance().park(
+                   &flag, [&flag] { return !flag.load(std::memory_order_relaxed); }, spin,
+                   kNoDeadline) == ParkResult::kUnparked;
+    }
+    std::unique_lock<std::mutex> lk(mu);
+    if (!ready()) continue;  // another waiter took it
+    if (waited) (slept ? parked : spun).fetch_add(1, std::memory_order_relaxed);
+    return lk;
+  }
+}
 
 }  // namespace sbd::core

@@ -1,14 +1,47 @@
 #include "db/db.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <deque>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "common/check.h"
+#include "common/timing.h"
 #include "core/fault.h"
+#include "core/queue.h"
+#include "core/transaction.h"
 #include "db/sql.h"
 
 namespace sbd::db {
+
+// Table lock modes, one bit each; the bit index is TableLock::held's.
+enum LockMode : uint8_t { kIS = 1, kIX = 2, kS = 4, kX = 8 };
+
+// Lock waits park in core::ParkingLot keyed by the `releases` counter
+// of the row or table they wait on; a release bumps it under mu_ and
+// wakes only that key.
+struct RowLock {
+  uint64_t owner = 0;  // 0 = free
+  int waiters = 0;     // also pins the entry against erasure
+  std::atomic<uint32_t> releases{0};
+};
+
+struct TableLock {
+  int held[4] = {};  // transactions holding IS, IX, S, X (LockMode bit order)
+  std::atomic<uint32_t> releases{0};
+};
+
+struct TableData {
+  Schema schema;
+  std::deque<Row> rows;                    // stable row storage
+  std::unordered_map<int64_t, size_t> pk;  // pk -> row index
+  std::vector<bool> alive;                 // tombstones for deletes
+  TableLock lock;
+  std::unordered_map<int64_t, RowLock> rowLocks;  // node-based: stable refs
+};
 
 int Schema::column_index(const std::string& name) const {
   for (size_t i = 0; i < columns.size(); i++) {
@@ -74,87 +107,120 @@ size_t Database::total_rows() const {
   return n;
 }
 
-void Database::lock_row(Connection& c, const std::string& table, int64_t pk) {
-  const auto key = std::make_pair(table, pk);
+namespace {
+
+// Whether `mode` is compatible with what OTHER transactions hold:
+// IS-X, IX-S, IX-X, S-IX, S-X conflict, and X conflicts with all.
+bool compatible(const TableLock& t, uint8_t mine, uint8_t mode) {
+  auto others = [&](uint8_t m) { return t.held[std::countr_zero(m)] - ((mine & m) != 0); };
+  switch (mode) {
+    case kIS: return others(kX) == 0;
+    case kIX: return others(kS) == 0 && others(kX) == 0;
+    case kS: return others(kIX) == 0 && others(kX) == 0;
+    default: return others(kIS) + others(kIX) + others(kS) + others(kX) == 0;
+  }
+}
+
+// Parks until `releases` moves or `deadline` passes, with mu_ released
+// meanwhile. A registered SBD thread waits inside a SafeScope, so a
+// stop-the-world (GC, sampler) does not wait for the lock's holder.
+// Returns false on timeout.
+bool park_unlocked(std::unique_lock<std::mutex>& lk, const std::atomic<uint32_t>& releases,
+                   uint64_t deadline) {
+  const uint32_t seen = releases.load(std::memory_order_relaxed);
+  lk.unlock();
+  std::optional<core::Safepoint::SafeScope> safe;
+  if (core::ThreadContext* tc = core::tls_context_if_present()) safe.emplace(*tc);
+  const bool woke =
+      core::ParkingLot::instance().park(
+          &releases, [&] { return releases.load(std::memory_order_relaxed) == seen; }, 0,
+          deadline) != core::ParkResult::kTimedOut;
+  safe.reset();
+  lk.lock();
+  return woke;
+}
+
+}  // namespace
+
+Connection::TableHold& Connection::hold_on(TableData& td) {
+  for (TableHold& h : tableLocks_)
+    if (h.td == &td) return h;
+  return tableLocks_.emplace_back(TableHold{&td, 0});
+}
+
+void Database::lock_table_locked(std::unique_lock<std::mutex>& lk, Connection::TableHold& h,
+                                 uint8_t mode, uint64_t deadline) {
+  TableLock& t = h.td->lock;
+  while (!compatible(t, h.modes, mode))
+    if (!park_unlocked(lk, t.releases, deadline) && !compatible(t, h.modes, mode))
+      throw DbDeadlock();
+  t.held[std::countr_zero(mode)]++;
+  h.modes |= mode;
+}
+
+void Database::lock_row(Connection& c, TableData& td, int64_t pk, uint8_t intent) {
   std::unique_lock<std::mutex> lk(mu_);
-  // NB: rowLocks_ is an unordered_map; references do not survive the cv
-  // wait (other threads insert entries), so every iteration re-looks-up.
-  if (rowLocks_[key].owner == c.txnId_) return;  // already ours
+  Connection::TableHold& h = c.hold_on(td);
+  auto it = td.rowLocks.find(pk);
+  // A row read first and written now already is ours, but its write
+  // still needs the table's IX.
+  const bool owned = it != td.rowLocks.end() && it->second.owner == c.txnId_;
+  if (owned && (h.modes & intent)) return;
   // Fault plan: a spurious lock-wait timeout, indistinguishable from a
   // real one — drives the caller's deadlock-retry path.
-  if (fault::should_fire(fault::Site::kDbLockTimeout)) throw DbDeadlock();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(lockTimeoutMs_);
-  rowLocks_[key].waiters++;
-  for (;;) {
-    if (rowLocks_[key].owner == 0) break;
-    if (lockCv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-      if (rowLocks_[key].owner == 0) break;
-      rowLocks_[key].waiters--;
+  if (!owned && fault::should_fire(fault::Site::kDbLockTimeout)) throw DbDeadlock();
+  const uint64_t deadline = now_nanos() + static_cast<uint64_t>(lockTimeoutMs_) * 1'000'000;
+  if (!(h.modes & intent)) lock_table_locked(lk, h, intent, deadline);
+  if (owned) return;
+  // Looked up after the intent wait, which may have released mu_; the
+  // waiter count then pins the entry across the row wait.
+  RowLock& rl = td.rowLocks[pk];
+  rl.waiters++;
+  while (rl.owner != 0) {
+    if (!park_unlocked(lk, rl.releases, deadline) && rl.owner != 0) {
+      rl.waiters--;
       throw DbDeadlock();
     }
   }
-  LockState& ls = rowLocks_[key];
-  ls.owner = c.txnId_;
-  ls.waiters--;
-  c.rowLocks_.push_back(key);
+  rl.waiters--;
+  rl.owner = c.txnId_;
+  c.rowLocks_.emplace_back(&td, pk);
 }
 
-void Database::lock_table(Connection& c, const std::string& table, bool exclusive) {
+void Database::lock_table(Connection& c, TableData& td, uint8_t mode) {
   std::unique_lock<std::mutex> lk(mu_);
-  TableLockState& ts = tableLocks_[table];
-  // Re-entrancy.
-  if (ts.xOwner == c.txnId_) return;
-  if (!exclusive && ts.sOwners.count(c.txnId_)) return;
+  Connection::TableHold& h = c.hold_on(td);
+  if (h.modes & mode) return;
   // Fault plan: spurious lock-wait timeout (see lock_row).
   if (fault::should_fire(fault::Site::kDbLockTimeout)) throw DbDeadlock();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(lockTimeoutMs_);
-  ts.waiters++;
-  auto compatible = [&] {
-    TableLockState& t = tableLocks_[table];
-    if (exclusive)
-      return t.xOwner == 0 && (t.sOwners.empty() ||
-                               (t.sOwners.size() == 1 && t.sOwners.count(c.txnId_)));
-    return t.xOwner == 0;
-  };
-  while (!compatible()) {
-    if (lockCv_.wait_until(lk, deadline) == std::cv_status::timeout && !compatible()) {
-      tableLocks_[table].waiters--;
-      throw DbDeadlock();
-    }
-  }
-  TableLockState& ts2 = tableLocks_[table];
-  ts2.waiters--;
-  if (exclusive) {
-    ts2.sOwners.erase(c.txnId_);  // upgrade
-    ts2.xOwner = c.txnId_;
-  } else {
-    ts2.sOwners[c.txnId_]++;
-  }
-  c.tableLocks_.push_back({table, exclusive});
+  lock_table_locked(lk, h, mode, now_nanos() + static_cast<uint64_t>(lockTimeoutMs_) * 1'000'000);
 }
 
+// Wakes only the waiters of what the transaction held: one per row
+// (row locks are exclusive), all of a table's.
 void Database::release_locks(Connection& c) {
+  auto& lot = core::ParkingLot::instance();
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& key : c.rowLocks_) {
-    auto it = rowLocks_.find(key);
-    if (it != rowLocks_.end() && it->second.owner == c.txnId_) {
-      it->second.owner = 0;
-      if (it->second.waiters == 0) rowLocks_.erase(it);
+  for (const auto& [td, pk] : c.rowLocks_) {
+    auto it = td->rowLocks.find(pk);
+    if (it == td->rowLocks.end() || it->second.owner != c.txnId_) continue;
+    RowLock& rl = it->second;
+    rl.owner = 0;
+    if (rl.waiters == 0) {
+      td->rowLocks.erase(it);
+      continue;
     }
+    rl.releases.fetch_add(1, std::memory_order_relaxed);
+    lot.unpark_one(&rl.releases);
   }
   c.rowLocks_.clear();
-  for (const auto& [table, exclusive] : c.tableLocks_) {
-    auto it = tableLocks_.find(table);
-    if (it == tableLocks_.end()) continue;
-    if (exclusive && it->second.xOwner == c.txnId_) it->second.xOwner = 0;
-    it->second.sOwners.erase(c.txnId_);
-    if (it->second.xOwner == 0 && it->second.sOwners.empty() && it->second.waiters == 0)
-      tableLocks_.erase(it);
+  for (const Connection::TableHold& h : c.tableLocks_) {
+    TableLock& t = h.td->lock;
+    for (int i = 0; i < 4; i++) t.held[i] -= (h.modes >> i) & 1;
+    t.releases.fetch_add(1, std::memory_order_relaxed);
+    lot.unpark_all(&t.releases);
   }
   c.tableLocks_.clear();
-  lockCv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -189,6 +255,26 @@ bool row_matches(const Row& row, const Statement& st, const Schema& schema,
 }
 }  // namespace
 
+std::vector<size_t> Database::lock_matches(Connection& c, TableData& td, const Statement& st,
+                                           const std::vector<Value>& params, bool write) {
+  const auto pk = pk_equality(st, td.schema, params);
+  if (pk)
+    lock_row(c, td, *pk, write ? kIX : kIS);
+  else
+    lock_table(c, td, write ? kX : kS);
+  std::lock_guard<std::mutex> lk(mu_);
+  std::vector<size_t> matches;
+  auto match = [&](size_t i) {
+    if (td.alive[i] && row_matches(td.rows[i], st, td.schema, params)) matches.push_back(i);
+  };
+  if (!pk) {
+    for (size_t i = 0; i < td.rows.size(); i++) match(i);
+  } else if (auto it = td.pk.find(*pk); it != td.pk.end()) {
+    match(it->second);
+  }
+  return matches;
+}
+
 ResultSet Database::exec_parsed(Connection& c, const Statement& st,
                                 const std::vector<Value>& params) {
   ResultSet rs;
@@ -216,7 +302,7 @@ ResultSet Database::exec_parsed(Connection& c, const Statement& st,
       const Value& pkv = row.values[static_cast<size_t>(schema.pkColumn)];
       if (!std::holds_alternative<int64_t>(pkv)) throw DbError("pk must be INT");
       const int64_t pk = as_int(pkv);
-      lock_row(c, tname, pk);
+      lock_row(c, *td, pk, kIX);
       {
         std::lock_guard<std::mutex> lk(mu_);
         if (td->pk.count(pk) && td->alive[td->pk[pk]])
@@ -231,22 +317,7 @@ ResultSet Database::exec_parsed(Connection& c, const Statement& st,
     }
 
     case StmtKind::kSelect: {
-      const auto pk = pk_equality(st, schema, params);
-      std::vector<size_t> matches;
-      if (pk) {
-        lock_row(c, tname, *pk);
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = td->pk.find(*pk);
-        if (it != td->pk.end() && td->alive[it->second] &&
-            row_matches(td->rows[it->second], st, schema, params))
-          matches.push_back(it->second);
-      } else {
-        lock_table(c, tname, /*exclusive=*/false);
-        std::lock_guard<std::mutex> lk(mu_);
-        for (size_t i = 0; i < td->rows.size(); i++)
-          if (td->alive[i] && row_matches(td->rows[i], st, schema, params))
-            matches.push_back(i);
-      }
+      const std::vector<size_t> matches = lock_matches(c, *td, st, params, /*write=*/false);
       std::lock_guard<std::mutex> lk(mu_);
       if (st.agg == AggKind::kCount) {
         rs.columns = {"COUNT"};
@@ -286,22 +357,7 @@ ResultSet Database::exec_parsed(Connection& c, const Statement& st,
 
     case StmtKind::kUpdate:
     case StmtKind::kDelete: {
-      const auto pk = pk_equality(st, schema, params);
-      std::vector<size_t> matches;
-      if (pk) {
-        lock_row(c, tname, *pk);
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = td->pk.find(*pk);
-        if (it != td->pk.end() && td->alive[it->second] &&
-            row_matches(td->rows[it->second], st, schema, params))
-          matches.push_back(it->second);
-      } else {
-        lock_table(c, tname, /*exclusive=*/true);
-        std::lock_guard<std::mutex> lk(mu_);
-        for (size_t i = 0; i < td->rows.size(); i++)
-          if (td->alive[i] && row_matches(td->rows[i], st, schema, params))
-            matches.push_back(i);
-      }
+      const std::vector<size_t> matches = lock_matches(c, *td, st, params, /*write=*/true);
       std::lock_guard<std::mutex> lk(mu_);
       for (size_t i : matches) {
         Row& row = td->rows[i];

@@ -4,8 +4,9 @@
 //   - typed tables (INT / TEXT columns) with an integer primary key
 //   - a SQL subset: CREATE TABLE, INSERT, SELECT, UPDATE, DELETE with
 //     ?-parameters, WHERE conjunctions, COUNT/SUM aggregates
-//   - ACID transactions: strict two-phase row locking for point
-//     operations (pk equality), table locks for scans, undo-log
+//   - ACID transactions: strict two-phase locking — exclusive row
+//     locks plus an intention lock (IS/IX) on the table for point
+//     operations (pk equality), S/X table locks for scans —, undo-log
 //     rollback, deadlock detection by timeout
 //   - a JDBC-like Connection/ResultSet API
 //
@@ -16,16 +17,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -77,6 +75,7 @@ class DbDeadlock : public DbError {
 };
 
 class Database;
+struct TableData;
 
 // One client session. Statements run in autocommit mode unless begin()
 // opened an explicit transaction. Not thread-safe; use one per thread.
@@ -109,8 +108,15 @@ class Connection {
     std::optional<Row> before;  // nullopt = row was inserted (undo = delete)
   };
   std::vector<UndoRecord> undo_;
-  std::vector<std::pair<std::string, int64_t>> rowLocks_;  // held until txn end
-  std::vector<std::pair<std::string, bool>> tableLocks_;   // (table, exclusive)
+  // Locks held until the transaction ends. Cleared, not freed, so a
+  // connection stops allocating once it has seen its largest txn.
+  std::vector<std::pair<TableData*, int64_t>> rowLocks_;
+  struct TableHold {
+    TableData* td;
+    uint8_t modes;  // LockMode bits (db.cpp)
+  };
+  std::vector<TableHold> tableLocks_;
+  TableHold& hold_on(TableData& td);  // finds or adds td's entry
 
   void end_txn(bool commit);
 };
@@ -135,44 +141,27 @@ class Database {
  private:
   friend class Connection;
 
-  struct TableData {
-    Schema schema;
-    std::deque<Row> rows;                     // stable row storage
-    std::unordered_map<int64_t, size_t> pk;   // pk -> row index
-    std::vector<bool> alive;                  // tombstones for deletes
-  };
-
-  // Strict-2PL lock manager. Row locks are exclusive (point updates and
-  // the reads TPC-C performs before writing); table locks are
-  // shared/exclusive for scans and inserts.
-  struct LockKeyHash {
-    size_t operator()(const std::pair<std::string, int64_t>& k) const {
-      return std::hash<std::string>()(k.first) * 1315423911u ^
-             std::hash<int64_t>()(k.second);
-    }
-  };
-  struct LockState {
-    uint64_t owner = 0;  // 0 = free
-    int waiters = 0;
-  };
-  struct TableLockState {
-    uint64_t xOwner = 0;
-    std::unordered_map<uint64_t, int> sOwners;
-    int waiters = 0;
-  };
-
-  void lock_row(Connection& c, const std::string& table, int64_t pk);
-  void lock_table(Connection& c, const std::string& table, bool exclusive);
+  // Table lock modes are LockMode bits (db.cpp): IS/IX for point
+  // statements, S/X for scans. Adds `mode` to `hold`, waiting out the
+  // conflicting modes other transactions hold on its table. mu_ held.
+  void lock_table_locked(std::unique_lock<std::mutex>& lk, Connection::TableHold& hold,
+                         uint8_t mode, uint64_t deadline);
+  // `intent` (IS or IX) on the table, then the exclusive row lock.
+  void lock_row(Connection& c, TableData& td, int64_t pk, uint8_t intent);
+  void lock_table(Connection& c, TableData& td, uint8_t mode);
   void release_locks(Connection& c);
+
+  // Takes the statement's locks — the row's (and an intention on the
+  // table) when the WHERE clause pins the primary key, else the table's
+  // — and returns the indices of the live rows it matches.
+  std::vector<size_t> lock_matches(Connection& c, TableData& td, const struct Statement& st,
+                                   const std::vector<Value>& params, bool write);
 
   ResultSet exec_parsed(Connection& c, const struct Statement& st,
                         const std::vector<Value>& params);
 
-  mutable std::mutex mu_;  // guards tables_ metadata and lock tables
-  std::condition_variable lockCv_;
+  mutable std::mutex mu_;  // guards tables_, their rows and their lock state
   std::map<std::string, std::unique_ptr<TableData>> tables_;
-  std::unordered_map<std::pair<std::string, int64_t>, LockState, LockKeyHash> rowLocks_;
-  std::map<std::string, TableLockState> tableLocks_;
   std::atomic<uint64_t> txnIdGen_{1};
   int lockTimeoutMs_ = 100;
 };

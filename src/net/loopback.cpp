@@ -6,8 +6,9 @@
 
 #include "common/check.h"
 #include "core/fault.h"
+#include "common/timing.h"
 #include "core/obs.h"
-#include "core/spin.h"
+#include "core/queue.h"
 
 namespace sbd::net {
 
@@ -34,42 +35,24 @@ std::string metrics_section() {
 // Pipe
 // ---------------------------------------------------------------------------
 
-template <class Ready>
-bool Pipe::wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready) {
-  if (ready()) return false;
-  waiting++;
-  cv_.wait(lk, ready);
-  waiting--;
-  return true;
-}
-
-std::unique_lock<std::mutex> Pipe::lock_readable() {
-  const bool wasReadable = readable_.load(std::memory_order_relaxed);
-  if (!wasReadable)
-    core::spin_until([&] { return readable_.load(std::memory_order_relaxed); },
-                     core::kWaitSpinNanos);
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool parked =
-      wait_locked(lk, readersWaiting_, [&] { return !buf_.empty() || writeClosed_; });
-  if (parked)
-    gPipeWaitsParked.fetch_add(1, std::memory_order_relaxed);
-  else if (!wasReadable)
-    gPipeWaitsSpun.fetch_add(1, std::memory_order_relaxed);
-  return lk;
+std::unique_lock<std::mutex> Pipe::await_readable() {
+  return core::await_handoff(readable_, mu_, [this] { return !buf_.empty() || writeClosed_; },
+                             gPipeWaitsSpun, gPipeWaitsParked);
 }
 
 size_t Pipe::take_locked(void* out, size_t n) {
+  const bool wasFull = buf_.size() >= capacity_;
   const size_t take = std::min(n, buf_.size());
   const auto first = buf_.begin();
   std::copy(first, first + static_cast<std::ptrdiff_t>(take), static_cast<uint8_t*>(out));
   buf_.erase(first, first + static_cast<std::ptrdiff_t>(take));
-  publish_readable_locked();
-  if (take > 0 && writersWaiting_ > 0) cv_.notify_all();  // room for a writer
+  publish_locked();
+  if (wasFull && take > 0) core::ParkingLot::instance().unpark_all(&writable_);
   return take;
 }
 
 size_t Pipe::read(void* out, size_t n) {
-  std::unique_lock<std::mutex> lk = lock_readable();
+  std::unique_lock<std::mutex> lk = await_readable();
   return take_locked(out, n);  // 0 = EOF
 }
 
@@ -79,23 +62,25 @@ size_t Pipe::try_read(void* out, size_t n) {
 }
 
 void Pipe::write(const void* data, size_t n) {
+  auto& lot = core::ParkingLot::instance();
   const auto* p = static_cast<const uint8_t*>(data);
   size_t written = 0;
   while (written < n) {
+    lot.park(&writable_, [this] { return !writable_.load(std::memory_order_relaxed); }, 0,
+             core::kNoDeadline);
     std::function<void()> fire;
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      wait_locked(lk, writersWaiting_, [&] { return buf_.size() < capacity_ || readClosed_; });
+      std::lock_guard<std::mutex> lk(mu_);
       if (readClosed_) return;  // peer is gone; drop (like EPIPE w/o signal)
-      const size_t room = capacity_ - buf_.size();
-      const size_t take = std::min(room, n - written);
+      if (buf_.size() >= capacity_) continue;  // another writer filled it
+      const size_t take = std::min(capacity_ - buf_.size(), n - written);
       buf_.insert(buf_.end(), p + written, p + written + take);
       written += take;
-      publish_readable_locked();
-      if (readersWaiting_ > 0) cv_.notify_all();
+      publish_locked();
       fire = std::move(notify_);  // one-shot: consume the armed edge
       notify_ = nullptr;
     }
+    lot.unpark_all(&readable_);
     if (fire) fire();  // outside the lock: the callback may take others
   }
 }
@@ -105,18 +90,21 @@ void Pipe::close_write() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     writeClosed_ = true;
-    publish_readable_locked();
-    cv_.notify_all();
+    publish_locked();
     fire = std::move(notify_);  // EOF is a readiness edge too
     notify_ = nullptr;
   }
+  core::ParkingLot::instance().unpark_all(&readable_);
   if (fire) fire();
 }
 
 void Pipe::close_read() {
-  std::lock_guard<std::mutex> lk(mu_);
-  readClosed_ = true;
-  cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    readClosed_ = true;
+    publish_locked();
+  }
+  core::ParkingLot::instance().unpark_all(&writable_);
 }
 
 size_t Pipe::available() const {
@@ -125,7 +113,7 @@ size_t Pipe::available() const {
 }
 
 bool Pipe::wait_readable() {
-  std::unique_lock<std::mutex> lk = lock_readable();
+  std::unique_lock<std::mutex> lk = await_readable();
   return !buf_.empty();
 }
 
@@ -165,32 +153,49 @@ void Socket::close() {
 // Listener / Network
 // ---------------------------------------------------------------------------
 
+// Accepters park on &ready, connectors on &Network::Impl::listens.
 struct Listener::State {
   std::mutex mu;
-  std::condition_variable cv;
   std::deque<Socket> pending;
   bool closed = false;
+  std::atomic<bool> ready{false};  // mirrors `!pending.empty() || closed`; under mu
+
+  void publish_locked() {
+    ready.store(!pending.empty() || closed, std::memory_order_relaxed);
+  }
+  void close() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      closed = true;
+      publish_locked();
+    }
+    core::ParkingLot::instance().unpark_all(&ready);
+  }
 };
 
 Socket Listener::accept() {
-  std::unique_lock<std::mutex> lk(state_->mu);
-  state_->cv.wait(lk, [&] { return !state_->pending.empty() || state_->closed; });
-  if (state_->pending.empty()) return Socket();
-  Socket s = std::move(state_->pending.front());
-  state_->pending.pop_front();
-  return s;
+  State& st = *state_;
+  for (;;) {
+    core::ParkingLot::instance().park(
+        &st.ready, [&st] { return !st.ready.load(std::memory_order_relaxed); }, 0,
+        core::kNoDeadline);
+    std::lock_guard<std::mutex> lk(st.mu);
+    if (!st.pending.empty()) {
+      Socket s = st.pending.front();
+      st.pending.pop_front();
+      st.publish_locked();
+      return s;
+    }
+    if (st.closed) return Socket();
+  }
 }
 
-void Listener::close() {
-  std::lock_guard<std::mutex> lk(state_->mu);
-  state_->closed = true;
-  state_->cv.notify_all();
-}
+void Listener::close() { state_->close(); }
 
 struct Network::Impl {
   std::mutex mu;
-  std::condition_variable cv;
   std::map<int, std::shared_ptr<Listener::State>> ports;
+  std::atomic<uint64_t> listens{0};  // bumped under mu by every listen()
 };
 
 std::shared_ptr<Network::Impl> Network::init() { return std::make_shared<Impl>(); }
@@ -204,41 +209,41 @@ Network& Network::instance() {
 }
 
 Listener Network::listen(int port) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  SBD_CHECK_MSG(impl_->ports.find(port) == impl_->ports.end() ||
-                    impl_->ports[port]->closed,
-                "port already bound");
   auto state = std::make_shared<Listener::State>();
-  impl_->ports[port] = state;
-  impl_->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    SBD_CHECK_MSG(impl_->ports.find(port) == impl_->ports.end() ||
+                      impl_->ports[port]->closed,
+                  "port already bound");
+    impl_->ports[port] = state;
+    impl_->listens.fetch_add(1, std::memory_order_relaxed);
+  }
+  core::ParkingLot::instance().unpark_all(&impl_->listens);
   Listener l;
   l.state_ = state;
   return l;
 }
 
 Socket Network::connect(int port, uint64_t timeoutMs) {
+  const uint64_t deadline = now_nanos() + timeoutMs * 1'000'000;
   std::shared_ptr<Listener::State> state;
-  {
-    std::unique_lock<std::mutex> lk(impl_->mu);
-    impl_->cv.wait_for(lk, std::chrono::milliseconds(timeoutMs), [&] {
+  for (;;) {
+    uint64_t seen;
+    {
+      std::lock_guard<std::mutex> lk(impl_->mu);
       auto it = impl_->ports.find(port);
-      return it != impl_->ports.end() && !it->second->closed;
-    });
-    auto it = impl_->ports.find(port);
-    if (it == impl_->ports.end() || it->second->closed) {
-      // No listener within the wait: hand back a dead socket (EOF on
-      // read, writes dropped) — the same shape as the kSocketReset
-      // fault below — so the caller can retry or degrade. The old
-      // SBD_CHECK_MSG here turned a peer that was merely slow to bind
-      // into a whole-process abort.
-      auto* c2s = new Pipe();
-      auto* s2c = new Pipe();
-      Socket clientEnd(s2c, c2s);
-      s2c->close_write();
-      c2s->close_read();
-      return clientEnd;
+      if (it != impl_->ports.end() && !it->second->closed) {
+        state = it->second;
+        break;
+      }
+      seen = impl_->listens.load(std::memory_order_relaxed);
     }
-    state = it->second;
+    // Timed out = no listen() since `seen`, up to the deadline.
+    if (core::ParkingLot::instance().park(
+            &impl_->listens,
+            [&] { return impl_->listens.load(std::memory_order_relaxed) == seen; }, 0,
+            deadline) == core::ParkResult::kTimedOut)
+      break;
   }
   // Connection pipes are network-owned (never freed): socket handles
   // must stay trivially destructible for checkpoint-restore safety, so
@@ -246,33 +251,29 @@ Socket Network::connect(int port, uint64_t timeoutMs) {
   // drained deques — the moral equivalent of kernel socket buffers.
   auto* c2s = new Pipe();
   auto* s2c = new Pipe();
-  // Fault plan: connection reset by peer. The client gets a socket that
-  // is already dead — reads see EOF, writes are dropped — and the
-  // server never learns the connection existed. Client code must cope
-  // with the short read, exactly like a real RST.
-  if (fault::should_fire(fault::Site::kSocketReset)) {
-    Socket client(s2c, c2s);
+  Socket client(s2c, c2s);
+  // No listener within the wait, or the fault plan's connection reset
+  // by peer: the client gets a socket that is already dead — reads see
+  // EOF, writes are dropped — and no server learns the connection
+  // existed. Callers can retry or degrade, exactly as after a real RST
+  // or ECONNREFUSED, instead of the process aborting.
+  if (!state || fault::should_fire(fault::Site::kSocketReset)) {
     s2c->close_write();
     c2s->close_read();
     return client;
   }
-  Socket client(s2c, c2s);
-  Socket server(c2s, s2c);
   {
     std::lock_guard<std::mutex> lk(state->mu);
-    state->pending.push_back(std::move(server));
-    state->cv.notify_all();
+    state->pending.push_back(Socket(c2s, s2c));
+    state->publish_locked();
   }
+  core::ParkingLot::instance().unpark_one(&state->ready);
   return client;
 }
 
 void Network::reset() {
   std::lock_guard<std::mutex> lk(impl_->mu);
-  for (auto& [port, state] : impl_->ports) {
-    std::lock_guard<std::mutex> slk(state->mu);
-    state->closed = true;
-    state->cv.notify_all();
-  }
+  for (auto& [port, state] : impl_->ports) state->close();
   impl_->ports.clear();
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -19,10 +18,10 @@
 namespace sbd::net {
 
 // Process-wide outcome of the blocking pipe reads (read,
-// wait_readable) that had to wait: `parked` slept on the pipe's
-// condvar; `spun` found nothing buffered but saw data or EOF inside the
-// spin budget (or on the recheck under the lock). One relaxed add per
-// such wait; reads that find data count nothing.
+// wait_readable) that had to wait: `parked` slept in the parking lot;
+// `spun` found nothing buffered but saw data or EOF inside the spin
+// budget (or on the lot's recheck). One relaxed add per such wait;
+// reads that find data count nothing.
 struct PipeWaitCounts {
   uint64_t spun = 0;
   uint64_t parked = 0;
@@ -72,42 +71,32 @@ class Pipe {
   void disarm_notify();
 
  private:
-  // Moves up to `n` buffered bytes out; mu_ held. Wakes a writer
-  // waiting for room if it freed any.
+  // Moves up to `n` buffered bytes out; mu_ held. Publishes the
+  // readiness flags, and unparks writers if it freed room in a full
+  // pipe.
   size_t take_locked(void* out, size_t n);
 
-  // Waits on cv_ until `ready()`, counted in `waiting` meanwhile; mu_
-  // held. cv_ is signalled only when someone waits on it: a waiter
-  // counts itself under the same hold of mu_ in which it found `ready()`
-  // false, and every state change is made under mu_, so the change
-  // either comes before that check or sees the count. Returns whether
-  // it had to wait.
-  template <class Ready>
-  bool wait_locked(std::unique_lock<std::mutex>& lk, int& waiting, Ready ready);
+  // Waits for data or EOF — parks on readable_ if it is false,
+  // counting the wait — and returns with mu_ held.
+  std::unique_lock<std::mutex> await_readable();
 
-  // The reader side of read() and wait_readable(): spins on readable_
-  // without the lock, then takes mu_ and waits in wait_locked until
-  // data or EOF. Returns with mu_ held.
-  std::unique_lock<std::mutex> lock_readable();
-
-  // Stores readable_ from the state it mirrors; mu_ held.
-  void publish_readable_locked() {
+  // Stores readable_/writable_ from the state they mirror; mu_ held.
+  void publish_locked() {
     readable_.store(!buf_.empty() || writeClosed_, std::memory_order_relaxed);
+    writable_.store(buf_.size() < capacity_ || readClosed_, std::memory_order_relaxed);
   }
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<uint8_t> buf_;
   size_t capacity_;
-  int readersWaiting_ = 0;
-  int writersWaiting_ = 0;
   bool writeClosed_ = false;
   bool readClosed_ = false;
-  // Lock-free mirror of `!buf_.empty() || writeClosed_`, written under
-  // mu_ at every change of either. Only a spin hint: a spinning reader
-  // is not in readersWaiting_, and the decision to park is remade
-  // under mu_.
+  // Lock-free mirrors of the two wait predicates, written under mu_ at
+  // every change of what they mirror. Readers park on &readable_ and
+  // writers on &writable_ (core::ParkingLot keys); the wait is re-decided
+  // under mu_ after every wake.
   std::atomic<bool> readable_{false};
+  std::atomic<bool> writable_{true};
   std::function<void()> notify_;  // armed = non-null; one-shot
 };
 

@@ -73,22 +73,22 @@ void for_each_class(const std::function<void(ClassInfo*)>& fn) {
   for (ClassInfo* ci : class_list()) fn(ci);
 }
 
+ClassInfo* register_array_class(const std::string& name, ElemKind kind, LockMap map) {
+  // Array classes share the class list with named classes (the GC
+  // statics walk tolerates their statics == nullptr).
+  auto* c = new ClassInfo();
+  c->name = name;
+  c->isArray = true;
+  c->elemKind = kind;
+  c->lockMap = map;
+  return publish(c);
+}
+
 ClassInfo* array_class(ElemKind kind) {
-  // Array classes run under the process mode and share the class list
-  // with named classes (the GC statics walk tolerates their
-  // statics == nullptr).
-  auto make = [](const char* name, ElemKind k) {
-    auto* c = new ClassInfo();
-    c->name = name;
-    c->isArray = true;
-    c->elemKind = k;
-    c->lockMap = process_lock_map();
-    return publish(c);
-  };
-  static ClassInfo* i8 = make("byte[]", ElemKind::kI8);
-  static ClassInfo* i64 = make("long[]", ElemKind::kI64);
-  static ClassInfo* f64 = make("double[]", ElemKind::kF64);
-  static ClassInfo* ref = make("Object[]", ElemKind::kRef);
+  static ClassInfo* i8 = register_array_class("byte[]", ElemKind::kI8);
+  static ClassInfo* i64 = register_array_class("long[]", ElemKind::kI64);
+  static ClassInfo* f64 = register_array_class("double[]", ElemKind::kF64);
+  static ClassInfo* ref = register_array_class("Object[]", ElemKind::kRef);
   switch (kind) {
     case ElemKind::kI8:
       return i8;

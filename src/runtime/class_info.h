@@ -127,7 +127,12 @@ ClassInfo* register_class(const std::string& name, const std::vector<SlotDesc>& 
                           const std::vector<SlotDesc>& staticSlots = {},
                           LockMap map = process_lock_map());
 
-// Built-in array classes (one per element kind).
+// Registers an array class of `kind` elements; `map` as for
+// register_class.
+ClassInfo* register_array_class(const std::string& name, ElemKind kind,
+                                LockMap map = process_lock_map());
+
+// Built-in array classes (one per element kind, process mode).
 ClassInfo* array_class(ElemKind kind);
 
 // Enumerate all registered classes (GC roots: statics objects).

@@ -179,9 +179,13 @@ ManagedObject* Heap::alloc_object(ClassInfo* cls) {
 }
 
 ManagedObject* Heap::alloc_array(ElemKind kind, uint64_t length) {
+  return alloc_array(array_class(kind), length);
+}
+
+ManagedObject* Heap::alloc_array(ClassInfo* cls, uint64_t length) {
   core::ThreadContext& tc = core::tls_context();
   const bool inTxn = tc.txn.active();
-  return alloc_raw(array_class(kind), array_size(kind, length), !inTxn, length, true);
+  return alloc_raw(cls, array_size(cls->elemKind, length), !inTxn, length, true);
 }
 
 ManagedObject* Heap::alloc_statics_holder(ClassInfo* cls) {

@@ -46,8 +46,10 @@ class Heap {
   // code) it is born escaped (locks == kUnalloc).
   ManagedObject* alloc_object(ClassInfo* cls);
 
-  // Allocates an array of `length` elements of `kind`.
+  // Allocates an array of `length` elements of `kind`, or of the array
+  // class `cls` (register_array_class).
   ManagedObject* alloc_array(ElemKind kind, uint64_t length);
+  ManagedObject* alloc_array(ClassInfo* cls, uint64_t length);
 
   // Statics holder for class registration (pre-transactional).
   ManagedObject* alloc_statics_holder(ClassInfo* cls);

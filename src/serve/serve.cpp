@@ -13,7 +13,6 @@
 #include "core/fault.h"
 #include "core/obs.h"
 #include "core/queue.h"
-#include "core/spin.h"
 #include "core/transaction.h"
 #include "db/txwrapper.h"
 #include "threads/sbd_thread.h"
@@ -130,21 +129,13 @@ struct Conn {
 
 // The multiplex point: edge callbacks push, workers pop. Held by
 // shared_ptr so a late callback (a client writing just as the server
-// dies) still lands on live memory.
-//
-// Waits follow net::Pipe's protocol: a popper spins on the lock-free
-// `ready` mirror first, then counts itself in `parked` under the same
-// hold of mu in which it found nothing, and push signals cv only when
-// that count is non-zero. Every change to q or stopping is made under
-// mu, so a push either comes before the popper's check or sees it
-// counted.
+// dies) still lands on live memory. Poppers park in the parking lot on
+// &ready, a lock-free mirror of `!q.empty() || stopping` written under
+// mu at every change of either.
 struct ReadyQueue {
   std::mutex mu;
-  std::condition_variable cv;
   std::deque<Conn*> q;
   bool stopping = false;
-  int parked = 0;  // poppers waiting on cv
-  // Mirrors `!q.empty() || stopping`; written under mu, read by spins.
   std::atomic<bool> ready{false};
 
   void publish_locked() {
@@ -152,35 +143,20 @@ struct ReadyQueue {
   }
 
   void push(Conn* c) {
-    bool wake;
     {
       std::lock_guard<std::mutex> lk(mu);
       if (stopping) return;  // drained server: drop, the conn gets closed
       q.push_back(c);
       publish_locked();
-      wake = parked > 0;
     }
-    if (wake) cv.notify_one();
+    core::ParkingLot::instance().unpark_one(&ready);
   }
 
   // Blocks for the next ready connection; keeps draining queued work
   // after stop() and returns nullptr once stopping AND empty.
   Conn* pop_blocking() {
-    const bool wasReady = ready.load(std::memory_order_relaxed);
-    if (!wasReady)
-      core::spin_until([&] { return ready.load(std::memory_order_relaxed); },
-                       core::kWaitSpinNanos);
-    std::unique_lock<std::mutex> lk(mu);
-    const bool mustPark = q.empty() && !stopping;
-    if (mustPark) {
-      parked++;
-      cv.wait(lk, [&] { return !q.empty() || stopping; });
-      parked--;
-    }
-    if (mustPark)
-      counters().readyPopsParked.fetch_add(1, std::memory_order_relaxed);
-    else if (!wasReady)
-      counters().readyPopsSpun.fetch_add(1, std::memory_order_relaxed);
+    auto lk = core::await_handoff(ready, mu, [this] { return !q.empty() || stopping; },
+                                  counters().readyPopsSpun, counters().readyPopsParked);
     if (q.empty()) return nullptr;
     Conn* c = q.front();
     q.pop_front();
@@ -194,7 +170,7 @@ struct ReadyQueue {
       stopping = true;
       publish_locked();
     }
-    cv.notify_all();
+    core::ParkingLot::instance().unpark_all(&ready);
   }
 
   bool empty() {

@@ -1,11 +1,11 @@
 #include "threads/sbd_thread.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 
 #include "common/check.h"
+#include "core/queue.h"
 #include "core/transaction.h"
 #include "runtime/heap.h"
 
@@ -14,10 +14,9 @@ namespace sbd::threads {
 struct SbdThread::Impl {
   std::function<void()> body;
   std::thread osThread;
-  std::mutex mu;
-  std::condition_variable cv;
+  std::mutex mu;  // orders launch's osThread store before `finished`
   bool launched = false;
-  bool finished = false;
+  std::atomic<bool> finished{false};  // join parks on its address
 };
 
 namespace {
@@ -63,9 +62,9 @@ void thread_entry(const std::shared_ptr<SbdThread::Impl>& impl) {
   run_sections_with_anchor(tc, impl->body);
   {
     std::lock_guard<std::mutex> lk(impl->mu);
-    impl->finished = true;
+    impl->finished.store(true, std::memory_order_release);
   }
-  impl->cv.notify_all();
+  core::ParkingLot::instance().unpark_all(&impl->finished);
 }
 
 void launch(const std::shared_ptr<SbdThread::Impl>& impl) {
@@ -110,8 +109,9 @@ void SbdThread::join() {
     auto& tc = core::tls_context();
     {
       core::Safepoint::SafeScope safe(tc);
-      std::unique_lock<std::mutex> lk(impl->mu);
-      impl->cv.wait(lk, [&] { return impl->finished; });
+      auto running = [impl] { return !impl->finished.load(std::memory_order_acquire); };
+      auto& lot = core::ParkingLot::instance();
+      while (running()) lot.park(&impl->finished, running, 0, core::kNoDeadline);
     }
     if (impl->osThread.joinable()) impl->osThread.join();
   };
@@ -126,10 +126,7 @@ void SbdThread::join() {
   }
 }
 
-bool SbdThread::finished() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->finished;
-}
+bool SbdThread::finished() const { return impl_->finished.load(std::memory_order_acquire); }
 
 void run_sbd(const std::function<void()>& body) {
   auto& tc = core::tls_context();

@@ -1,13 +1,16 @@
 // Parking-lot unit tests (§3.2): direct-handoff prefix grants, upgrader
 // front entry, the park/grant race, advisory signals, bucket-collision
-// isolation, and the id-pool wake-one discipline. The fairness_test
+// isolation, and the keyed park/unpark contract. The fairness_test
 // covers end-to-end starvation behavior; these pin the data-structure
 // contracts directly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
+#include "common/timing.h"
 #include "core/fwd.h"
 #include "core/lockword.h"
 #include "core/queue.h"
@@ -230,26 +233,50 @@ TEST(ParkingLot, UnparkTxnSignalsExactlyTheNamedWaiter) {
   EXPECT_EQ(lot.cancel(tc, b), CancelResult::kRemoved);
 }
 
-TEST(ParkingLot, IdPoolUnparkOneNeverBurnsAWakeOnASignaledNode) {
+TEST(KeyedPark, UnparkWithoutWaitersIsANoOp) {
   auto& lot = ParkingLot::instance();
-  static LockWord sentinel = 0;
-  WaitNode n1, n2, n3;
-  for (WaitNode* n : {&n1, &n2, &n3}) {
-    n->word = &sentinel;
-    n->idPool = true;
-    lot.publish(*n);
+  static int key;
+  const uint64_t wakes0 = ParkingLot::counters().futexWakes;
+  EXPECT_FALSE(lot.unpark_one(&key));
+  EXPECT_EQ(lot.unpark_all(&key), 0u);
+  EXPECT_EQ(ParkingLot::counters().futexWakes, wakes0);
+}
+
+TEST(KeyedPark, NotBlockedReturnsAtOnceAndDeadlineTimesOut) {
+  auto& lot = ParkingLot::instance();
+  static int key;
+  EXPECT_EQ(lot.park(&key, [] { return false; }, 0, kNoDeadline), ParkResult::kNotBlocked);
+  const uint64_t t0 = now_nanos();
+  EXPECT_EQ(lot.park(&key, [] { return true; }, 0, t0 + 2'000'000), ParkResult::kTimedOut);
+  EXPECT_GE(now_nanos() - t0, 2'000'000u);
+  EXPECT_EQ(lot.parked_on(&key), 0u) << "a timed-out waiter unlinks itself";
+}
+
+// Three waiters park on one key; unpark_one wakes them one at a time in
+// arrival order, and only the waiters of that key.
+TEST(KeyedPark, UnparkOneWakesInFifoOrderAndUnparkAllTheRest) {
+  auto& lot = ParkingLot::instance();
+  static int key;
+  static int otherKey;
+  std::atomic<int> order{0};
+  int wokeAt[3] = {-1, -1, -1};
+  std::vector<std::thread> ts;
+  for (int i = 0; i < 3; i++) {
+    ts.emplace_back([&, i] {
+      EXPECT_EQ(lot.park(&key, [] { return true; }, 0, kNoDeadline), ParkResult::kUnparked);
+      wokeAt[i] = order.fetch_add(1);
+    });
+    while (lot.parked_on(&key) != static_cast<size_t>(i + 1)) std::this_thread::yield();
   }
-  const uint64_t wakes0 = ParkingLot::counters().idWakes;
-  EXPECT_TRUE(lot.unpark_one(&sentinel));
-  EXPECT_EQ(n1.state.load(), kNodeSignaled);
-  // The second wake must SKIP the already-signaled head — wake-one means
-  // one wake, one distinct waiter (the no-thundering-herd discipline).
-  EXPECT_TRUE(lot.unpark_one(&sentinel));
-  EXPECT_EQ(n2.state.load(), kNodeSignaled);
-  EXPECT_EQ(n3.state.load(), kNodeWaiting);
-  EXPECT_EQ(ParkingLot::counters().idWakes, wakes0 + 2);
-  for (WaitNode* n : {&n1, &n2, &n3}) lot.remove(*n);
-  EXPECT_FALSE(lot.unpark_one(&sentinel)) << "empty key: no one to wake";
+  EXPECT_FALSE(lot.unpark_one(&otherKey));
+  EXPECT_TRUE(lot.unpark_one(&key));
+  ts[0].join();
+  EXPECT_EQ(wokeAt[0], 0);
+  EXPECT_EQ(lot.parked_on(&key), 2u);
+  EXPECT_EQ(lot.unpark_all(&key), 2u);
+  ts[1].join();
+  ts[2].join();
+  EXPECT_EQ(lot.parked_on(&key), 0u);
 }
 
 }  // namespace

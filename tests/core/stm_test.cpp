@@ -313,8 +313,12 @@ TEST(Stm, DeadlockIsResolvedByAbortingYoungest) {
 
 TEST(Stm, ArrayElementGranularity) {
   // Two threads writing disjoint elements of one array never conflict.
+  // The array's class is field-mapped, so the premise holds whatever
+  // SBD_LOCK_GRANULARITY the process runs under.
+  static runtime::ClassInfo* const fieldMapped = runtime::register_array_class(
+      "long[]/field", runtime::ElemKind::kI64, runtime::LockMap::field_map());
   runtime::GlobalRoot<I64Array> arr;
-  run_sbd([&] { arr.set(I64Array::make(64)); });
+  run_sbd([&] { arr.set(I64Array(runtime::Heap::instance().alloc_array(fieldMapped, 64))); });
   const auto before = TxnManager::instance().snapshot_stats();
   {
     SbdThread t1([&] {

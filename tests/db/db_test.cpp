@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "api/sbd.h"
+#include "common/timing.h"
+#include "core/queue.h"
 #include "db/sql.h"
 #include "db/txwrapper.h"
+#include "runtime/heap.h"
+#include "threads/sbd_thread.h"
 
 namespace sbd::db {
 namespace {
@@ -178,6 +184,53 @@ TEST(Db, DeadlockDetectedByTimeout) {
   EXPECT_GE(deadlocks.load(), 1);
 }
 
+// A scan must not see a transfer half applied: point statements hold
+// an intention lock on the table until their transaction ends, and a
+// SUM scan's shared table lock waits that out (here: times out).
+TEST(Db, ScanNeverSeesHalfAppliedTransfer) {
+  auto db = fresh_db();
+  db->set_lock_timeout_ms(50);
+  auto setup = db->connect();
+  setup->execute("INSERT INTO accounts VALUES (0, 'a', 100)");
+  setup->execute("INSERT INTO accounts VALUES (1, 'b', 100)");
+  auto c1 = db->connect();
+  auto c2 = db->connect();
+  c1->begin();
+  // Read, then write: the serve transfer's pattern. The read takes the
+  // row (and IS); the write must still raise the table intent to IX.
+  EXPECT_EQ(c1->execute("SELECT balance FROM accounts WHERE id = 0").int_at(0, 0), 100);
+  c1->execute("UPDATE accounts SET balance = 90 WHERE id = 0");
+  try {
+    EXPECT_EQ(c2->execute("SELECT SUM(balance) FROM accounts").int_at(0, 0), 200)
+        << "a scan returned the dirty sum";
+  } catch (const DbDeadlock&) {
+  }
+  c1->execute("UPDATE accounts SET balance = 110 WHERE id = 1");
+  c1->commit();
+  EXPECT_EQ(c2->execute("SELECT SUM(balance) FROM accounts").int_at(0, 0), 200);
+}
+
+// The converse: rows a transaction scanned stay put until it ends, its
+// own point writes never wait on its own scan, and point reads share
+// the table with the scan.
+TEST(Db, ScanLockHoldsOffPointWritesUntilCommit) {
+  auto db = fresh_db();
+  db->set_lock_timeout_ms(50);
+  auto setup = db->connect();
+  setup->execute("INSERT INTO accounts VALUES (0, 'a', 100)");
+  setup->execute("INSERT INTO accounts VALUES (1, 'b', 100)");
+  auto scanner = db->connect();
+  auto writer = db->connect();
+  scanner->begin();
+  EXPECT_EQ(scanner->execute("SELECT SUM(balance) FROM accounts").int_at(0, 0), 200);
+  EXPECT_EQ(writer->execute("SELECT balance FROM accounts WHERE id = 1").int_at(0, 0), 100);
+  EXPECT_THROW(writer->execute("UPDATE accounts SET balance = 0 WHERE id = 0"), DbDeadlock);
+  scanner->execute("UPDATE accounts SET balance = 50 WHERE id = 1");
+  EXPECT_EQ(scanner->execute("SELECT SUM(balance) FROM accounts").int_at(0, 0), 150);
+  scanner->commit();
+  EXPECT_EQ(writer->execute("UPDATE accounts SET balance = 0 WHERE id = 0").updateCount, 1);
+}
+
 TEST(TxWrapper, SectionCommitCommitsDb) {
   auto db = fresh_db();
   TxDbConnection conn(*db);
@@ -221,6 +274,46 @@ TEST(TxWrapper, UndoBytesReportedForTable8) {
     split();
     EXPECT_EQ(core::tls_context().txn.buffer_bytes(), 0u);
   });
+}
+
+// An SBD thread waiting for a row lock must not hold up a stop-the-
+// world: its wait runs in a safe region. The row is held by a plain
+// thread with a 2 s lock timeout, so a collection that had to wait for
+// the waiter would take the whole timeout.
+TEST(TxWrapper, RowLockWaitDoesNotDelayStopTheWorld) {
+  auto db = fresh_db();
+  db->set_lock_timeout_ms(2000);
+  db->connect()->execute("INSERT INTO accounts VALUES (1, 'a', 10)");
+  std::atomic<bool> held{false}, release{false};
+  std::thread holder([&] {
+    auto c = db->connect();
+    c->begin();
+    c->execute("UPDATE accounts SET balance = 11 WHERE id = 1");
+    held = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    c->commit();
+  });
+  while (!held) std::this_thread::yield();
+  const size_t parked0 = core::ParkingLot::approx_waiters();
+  TxDbConnection conn(*db);
+  threads::SbdThread waiter([&] {
+    EXPECT_EQ(conn.execute("SELECT balance FROM accounts WHERE id = 1").int_at(0, 0), 11);
+  });
+  uint64_t gcNanos = 0;
+  run_sbd([&] {
+    waiter.start();
+    split();  // the start is deferred to this commit
+    const uint64_t until = now_nanos() + 1'000'000'000;
+    while (core::ParkingLot::approx_waiters() == parked0 && now_nanos() < until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const uint64_t t0 = now_nanos();
+    runtime::Heap::instance().collect();
+    gcNanos = now_nanos() - t0;
+    release = true;
+    waiter.join();
+  });
+  holder.join();
+  EXPECT_LT(gcNanos, 500'000'000u) << "the collection waited for the row-lock waiter";
 }
 
 }  // namespace

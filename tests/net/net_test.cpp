@@ -8,7 +8,7 @@
 
 #include "api/sbd.h"
 #include "common/timing.h"
-#include "core/spin.h"
+#include "core/queue.h"
 #include "net/http.h"
 #include "net/loopback.h"
 
@@ -148,7 +148,8 @@ TEST(PipeWait, PingPongAcrossSpinBudgetFinishes) {
     constexpr uint64_t kHalfBudgets[] = {0, 1, 2, 4};
     const uint64_t pick = (i * 0x9E3779B97F4A7C15ull) >> 62;
     const uint64_t until = now_nanos() + kHalfBudgets[pick] * core::kWaitSpinNanos / 2;
-    while (now_nanos() < until) core::cpu_relax();
+    while (now_nanos() < until) {
+    }
   };
   Pipe ping, pong;
   std::atomic<int> done{0}, rounds{0};

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "api/sbd.h"
+#include "common/timing.h"
+#include "core/stats.h"
 
 namespace sbd::runtime {
 namespace {
@@ -49,13 +52,25 @@ TEST(MemorySampler, StopWithoutStartIsHarmless) {
 }
 
 TEST(MemorySampler, SamplesWhileMutatorsRun) {
+  // The mutators run until a collection has happened since start(), so
+  // the sampler's first tick lands while they run however they are
+  // scheduled; the cap turns a sampler that never collects into a
+  // failure instead of a hang.
+  constexpr uint64_t kCapNanos = 10'000'000'000;
+  const uint64_t gcRuns0 = core::gauges().gcRuns.load();
   MemorySampler sampler(5);
   sampler.start();
+  const uint64_t t0 = now_nanos();
+  std::atomic<bool> capped{false};
   {
     std::vector<SbdThread> ts;
     for (int t = 0; t < 2; t++) {
       ts.emplace_back([&] {
-        for (int i = 0; i < 500; i++) {
+        for (int i = 0; i < 500 || core::gauges().gcRuns.load() == gcRuns0; i++) {
+          if (now_nanos() - t0 > kCapNanos) {
+            capped = true;
+            break;
+          }
           Blob b = Blob::alloc();
           b.init_v(i);
           split();
@@ -65,6 +80,7 @@ TEST(MemorySampler, SamplesWhileMutatorsRun) {
     for (auto& t : ts) t.start();
     for (auto& t : ts) t.join();
   }
+  ASSERT_FALSE(capped.load()) << "no collection within the cap since start()";
   const auto avg = sampler.stop();
   EXPECT_GT(avg.samples, 0u);
 }

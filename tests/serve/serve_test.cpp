@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/spin.h"
+#include "core/queue.h"
 #include "db/db.h"
 #include "net/http.h"
 #include "net/loopback.h"
