@@ -12,6 +12,20 @@ namespace {
 thread_local CheckpointEngine* tActiveEngine = nullptr;
 thread_local Checkpoint* tActiveCheckpoint = nullptr;
 
+// Copies raw stack bytes for take() and restore(). Under ASan the
+// stack carries redzones between locals, which an intercepted memcpy
+// reports as overflows: there the copy is an uninstrumented byte loop,
+// through volatile so the compiler cannot turn it back into a memcpy.
+[[gnu::no_sanitize_address]] void copy_stack_bytes(void* dst, const void* src, size_t n) {
+#if defined(__SANITIZE_ADDRESS__)
+  auto* d = static_cast<volatile unsigned char*>(dst);
+  auto* s = static_cast<const volatile unsigned char*>(src);
+  for (size_t i = 0; i < n; i++) d[i] = s[i];
+#else
+  std::memcpy(dst, src, n);
+#endif
+}
+
 #if !SBD_FASTCTX
 inline void* current_sp_from(const ucontext_t& ctx) {
 #if defined(__x86_64__)
@@ -59,7 +73,7 @@ CheckpointResult CheckpointEngine::take(Checkpoint& cp) {
                                          static_cast<std::byte*>(sp));
   cp.sp_ = sp;
   cp.stackCopy_.resize(len);
-  std::memcpy(cp.stackCopy_.data(), sp, len);
+  copy_stack_bytes(cp.stackCopy_.data(), sp, len);
   return CheckpointResult::kTaken;
 }
 
@@ -84,7 +98,7 @@ void CheckpointEngine::restore(Checkpoint& cp) {
 void CheckpointEngine::trampoline_entry() {
   CheckpointEngine* eng = tActiveEngine;
   Checkpoint* cp = tActiveCheckpoint;
-  std::memcpy(cp->sp_, cp->stackCopy_.data(), cp->stackCopy_.size());
+  copy_stack_bytes(cp->sp_, cp->stackCopy_.data(), cp->stackCopy_.size());
   (void)eng;
 #if SBD_FASTCTX
   sbd_ctx_jump(&cp->fctx_);

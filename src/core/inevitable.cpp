@@ -1,19 +1,17 @@
 #include "core/inevitable.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 
 #include "common/check.h"
+#include "core/queue.h"
 #include "core/transaction.h"
 
 namespace sbd::core {
 
 namespace {
 
-std::mutex gTokenMu;
-std::condition_variable gTokenCv;
-ThreadContext* gHolder = nullptr;
+// The token: taken by CAS, waiters park on it.
+std::atomic<ThreadContext*> gHolder{nullptr};
 std::atomic<uint64_t> gAcquisitions{0};
 
 // Releases the token when the inevitable section ends.
@@ -40,11 +38,8 @@ class InevitabilityToken final : public TxResource {
 
  private:
   static void release() {
-    {
-      std::lock_guard<std::mutex> lk(gTokenMu);
-      gHolder = nullptr;
-    }
-    gTokenCv.notify_all();
+    gHolder.store(nullptr, std::memory_order_release);
+    ParkingLot::instance().unpark_one(&gHolder);
   }
 };
 
@@ -53,15 +48,18 @@ class InevitabilityToken final : public TxResource {
 void become_inevitable() {
   auto& tc = tls_context();
   SBD_CHECK_MSG(tc.txn.active(), "become_inevitable outside an atomic section");
-  {
-    std::lock_guard<std::mutex> lk(gTokenMu);
-    if (gHolder == &tc) return;  // already inevitable
-  }
-  {
+  if (gHolder.load(std::memory_order_relaxed) == &tc) return;  // already inevitable
+  ThreadContext* none = nullptr;
+  if (!gHolder.compare_exchange_strong(none, &tc, std::memory_order_acquire)) {
+    // Every release wakes one waiter, which takes the token or parks
+    // again behind the thread that beat it to it.
     Safepoint::SafeScope safe(tc);
-    std::unique_lock<std::mutex> lk(gTokenMu);
-    gTokenCv.wait(lk, [] { return gHolder == nullptr; });
-    gHolder = &tc;
+    do {
+      ParkingLot::instance().park(
+          &gHolder, [] { return gHolder.load(std::memory_order_relaxed) != nullptr; }, 0,
+          kNoDeadline);
+      none = nullptr;
+    } while (!gHolder.compare_exchange_strong(none, &tc, std::memory_order_acquire));
   }
   gAcquisitions.fetch_add(1, std::memory_order_relaxed);
   // Register the release hook BEFORE anything below can abort, then pin
@@ -76,9 +74,7 @@ void become_inevitable() {
 
 bool is_inevitable() {
   auto* tc = tls_context_if_present();
-  if (!tc) return false;
-  std::lock_guard<std::mutex> lk(gTokenMu);
-  return gHolder == tc;
+  return tc && gHolder.load(std::memory_order_acquire) == tc;
 }
 
 uint64_t inevitable_acquisitions() {

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "common/timing.h"
-#include "core/degrade.h"
 #include "core/queue.h"
 #include "core/stats.h"
 #include "core/transaction.h"
@@ -238,7 +237,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kAborted: return "aborted";
     case EventKind::kWatchdogStall: return "watchdog-stall";
     case EventKind::kIdPoolStall: return "idpool-stall";
-    case EventKind::kEscalated: return "escalated";
     case EventKind::kCommit: return "commit";
     case EventKind::kSplit: return "split";
     case EventKind::kGcPause: return "gc-pause";
@@ -390,7 +388,7 @@ std::string summarize(const std::vector<Event>& events) {
   // Keyed on the symbolic name, so contention attribution is stable
   // even when the lock pool recycles the underlying array address.
   std::map<std::string, LockStats> byLock;
-  uint64_t deadlocks = 0, aborts = 0, stalls = 0, idStalls = 0, escalations = 0;
+  uint64_t deadlocks = 0, aborts = 0, stalls = 0, idStalls = 0;
   uint64_t commits = 0, splits = 0, gcPauses = 0, spStops = 0;
   uint64_t acquires = 0, releases = 0, commitOrders = 0, threadExits = 0;
   uint64_t validates = 0, versionAborts = 0;
@@ -419,9 +417,6 @@ std::string summarize(const std::vector<Event>& events) {
         break;
       case EventKind::kIdPoolStall:
         idStalls++;
-        break;
-      case EventKind::kEscalated:
-        escalations++;
         break;
       case EventKind::kCommit:
         commits++;
@@ -462,9 +457,8 @@ std::string summarize(const std::vector<Event>& events) {
   std::ostringstream os;
   os << "debug log: " << events.size() << " events, " << deadlocks << " deadlocks, "
      << aborts << " aborts";
-  if (stalls || idStalls || escalations)
-    os << ", " << stalls << " stalls, " << idStalls << " id-pool stalls, "
-       << escalations << " escalations";
+  if (stalls || idStalls)
+    os << ", " << stalls << " stalls, " << idStalls << " id-pool stalls";
   if (commits || splits)
     os << ", " << commits << " commit / " << splits << " split samples";
   if (gcPauses || spStops)
@@ -634,9 +628,6 @@ std::string metrics_json() {
   os << "},\n  \"watchdog\": {";
   os << "\"stalls\": " << core::Watchdog::stalls_detected()
      << ", \"victims\": " << core::Watchdog::victims_aborted();
-  os << "},\n  \"degrade\": {";
-  os << "\"escalations\": " << core::degrade::escalations()
-     << ", \"retryBudget\": " << core::degrade::retry_budget();
   os << "},\n  \"trace\": {";
   os << "\"enabled\": " << (enabled() ? "true" : "false")
      << ", \"full\": " << (full_trace() ? "true" : "false")

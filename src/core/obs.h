@@ -16,7 +16,7 @@
 //      object is pinned by the wait queue — and summaries key on
 //      "Class.field" / "Class[index]", which stays stable forever.
 //   3. Everything aggregates into one metrics snapshot: StatsCounters,
-//      GlobalGauges, lock-pool stats, watchdog/degrade counters, and a
+//      GlobalGauges, lock-pool stats, watchdog counters, and a
 //      top-N hot-lock contention table, exported as JSON via the
 //      SBD_METRICS_JSON env var or the API below.
 #pragma once
@@ -34,11 +34,11 @@ struct ClassInfo;  // defined in runtime/class_info.h
 
 namespace sbd::obs {
 
-// The first seven kinds mirror the original §6 debug mode; the rest
+// The first six kinds mirror the original §6 debug mode; the rest
 // are the duration events of the always-on tracer and (after
 // kSafepointStop) the full-trace events consumed by the sbd::oracle
-// happens-before checker. New kinds must be APPENDED: the order is
-// pinned.
+// happens-before checker. Trace files carry kind names, not numbers,
+// and the oracle skips names it does not know; append new kinds.
 enum class EventKind : uint8_t {
   kBlocked,        // a transaction entered a wait queue
   kGranted,        // ...and eventually got the lock (duration = wait latency)
@@ -46,7 +46,6 @@ enum class EventKind : uint8_t {
   kAborted,        // a transaction rolled back and will retry
   kWatchdogStall,  // watchdog saw a transaction blocked past the threshold
   kIdPoolStall,    // id-pool acquire exceeded a timeout slice (§3.3 pressure)
-  kEscalated,      // retry budget exhausted; section now runs serialized
   kCommit,         // sampled: one commit_section, duration = commit work
   kSplit,          // sampled: one split_section, duration incl. the commit
   kGcPause,        // one GC stop-the-world, duration = full pause
@@ -229,9 +228,8 @@ void reset_contention();
 
 // --- Metrics snapshot --------------------------------------------------------
 
-// Aggregates StatsCounters + GlobalGauges + lock-pool, watchdog,
-// degradation, and tracer counters, plus the top-10 hot locks, into a
-// JSON object.
+// Aggregates StatsCounters + GlobalGauges + lock-pool, watchdog and
+// tracer counters, plus the top-10 hot locks, into a JSON object.
 std::string metrics_json();
 
 // Registers an extra top-level metrics section: metrics_json() appends

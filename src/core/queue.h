@@ -12,10 +12,12 @@
 //   fairness (strict FIFO, upgraders at the front), the Dreadlocks
 //   digest inputs and the GC boundObj root ride in the WaitNode.
 // - Keyed waits (park / unpark_one / unpark_all, the WebKit ParkingLot
-//   shape): the txn-id pool, net::Pipe, the serve ready queue, the db
-//   row and table locks, SbdThread::join and the Monitor wait sets. The
-//   waiter names a key and a `stillBlocked` predicate over atomics; the
-//   waker changes the state the predicate reads, then unparks the key.
+//   shape): the txn-id pool, net::Pipe, the serve ready queue and
+//   shutdown drain, the db row and table locks, SbdThread::join, the
+//   Monitor wait sets, the safepoint handshake, the inevitable token and
+//   the watchdog's sleep. The waiter names a key and a `stillBlocked`
+//   predicate over atomics; the waker changes the state the predicate
+//   reads, then unparks the key.
 //
 // Lost-wakeup protocols (proved in docs/SEMANTICS.md). Lock words: a
 // waiter publishes its node under the bucket lock, THEN sets the

@@ -1,12 +1,11 @@
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 #include "common/check.h"
 #include "common/timing.h"
 #include "core/fault.h"
 #include "core/obs.h"
+#include "core/queue.h"
 #include "core/transaction.h"
 
 namespace sbd::core {
@@ -14,9 +13,11 @@ namespace sbd::core {
 std::atomic<bool> Safepoint::stopRequested_{false};
 
 namespace {
-std::mutex gSpMu;
-std::condition_variable gSpCv;
-ThreadContext* gStopper = nullptr;
+// The one stopper at a time; a second one parks on this key.
+std::atomic<ThreadContext*> gStopper{nullptr};
+// Bumped each time a thread stops counting as running while a stop is
+// pending; the stopper parks on it between scans of the registry.
+std::atomic<uint64_t> gStopEpoch{0};
 
 // Spills the register file into the context so a conservative scan sees
 // references that currently live only in registers. Under SBD_FASTCTX
@@ -38,29 +39,47 @@ inline void spill(ThreadContext& tc) {
 }
 }  // namespace
 
+// Marks `tc` as `stopped` (kSafe or kParked) and waits out every
+// pending stop, then marks it running. Pre: the thread's last spill
+// covers every reference it holds. It stays valid across the loop, as
+// only runtime code runs here; not re-spilling keeps the GC's read of
+// the spill race-free.
+void Safepoint::wait_out_stop(ThreadContext& tc, ThreadState stopped) {
+  auto& lot = ParkingLot::instance();
+  do {
+    tc.state.store(static_cast<int>(stopped), std::memory_order_seq_cst);
+    notify_stopper();
+    while (stopRequested_.load(std::memory_order_seq_cst))
+      lot.park(&stopRequested_, [] { return stopRequested_.load(std::memory_order_relaxed); },
+               0, kNoDeadline);
+    tc.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_seq_cst);
+  } while (stopRequested_.load(std::memory_order_seq_cst));
+}
+
+void Safepoint::notify_stopper() {
+  gStopEpoch.fetch_add(1, std::memory_order_seq_cst);
+  ParkingLot::instance().unpark_one(&gStopEpoch);
+}
+
 // Entry and exit pair with stop_world() Dekker-style: each side stores
-// its own flag, then loads the other's, all seq_cst, so at least one of
-// them sees the other. A stopper that misses the kSafe store polls again
-// within 100 us; a thread that misses the stop request is seen as
-// kSafe. Entry therefore wakes the stopper only while a stop is pending.
+// its own flag (the thread state, stopRequested_), then loads the
+// other's, all seq_cst, so at least one of them sees the other. A
+// stopper that misses the kSafe store is woken through the epoch; a
+// thread that misses the stop request is seen as kSafe. Neither side
+// touches the parking lot unless a stop is pending (docs/SEMANTICS.md).
 Safepoint::SafeScope::SafeScope(ThreadContext& tc) : tc_(tc) {
   spill(tc_);
   tc_.state.store(static_cast<int>(ThreadState::kSafe), std::memory_order_seq_cst);
-  if (stopRequested_.load(std::memory_order_seq_cst)) gSpCv.notify_all();
+  if (stopRequested_.load(std::memory_order_seq_cst)) notify_stopper();
 }
 
 Safepoint::SafeScope::~SafeScope() {
-  for (;;) {
-    tc_.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_seq_cst);
-    if (!stopRequested_.load(std::memory_order_seq_cst)) return;
-    // A stopper may already count this thread as stopped: step back
-    // into the safe region and wait out the stop before running on.
-    spill(tc_);
-    tc_.state.store(static_cast<int>(ThreadState::kSafe), std::memory_order_seq_cst);
-    std::unique_lock<std::mutex> lk(gSpMu);
-    gSpCv.notify_all();
-    gSpCv.wait(lk, [] { return !stopRequested_.load(std::memory_order_acquire); });
-  }
+  tc_.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_seq_cst);
+  // A stopper may already count this thread as stopped: step back into
+  // the safe region and wait out the stop before running on. The entry
+  // spill still covers the thread: the enclosed wait holds no
+  // references of its own.
+  if (stopRequested_.load(std::memory_order_seq_cst)) wait_out_stop(tc_, ThreadState::kSafe);
 }
 
 void Safepoint::park(ThreadContext& tc) {
@@ -68,34 +87,41 @@ void Safepoint::park(ThreadContext& tc) {
   // every stop-the-world (GC, sampler).
   if (const uint64_t d = fault::fire_delay_nanos(fault::Site::kSafepointPark))
     std::this_thread::sleep_for(std::chrono::nanoseconds(d));
+  if (!stopRequested_.load(std::memory_order_seq_cst)) return;
   spill(tc);
-  std::unique_lock<std::mutex> lk(gSpMu);
-  if (!stopRequested_.load(std::memory_order_acquire)) return;
-  tc.state.store(static_cast<int>(ThreadState::kParked), std::memory_order_release);
-  gSpCv.notify_all();
-  gSpCv.wait(lk, [] { return !stopRequested_.load(std::memory_order_acquire); });
-  tc.state.store(static_cast<int>(ThreadState::kRunning), std::memory_order_release);
+  wait_out_stop(tc, ThreadState::kParked);
 }
 
 void Safepoint::stop_world(ThreadContext& requester) {
   const uint64_t t0 = now_nanos();
-  // While queueing behind another stopper (GC, sampler), the requester
-  // must count as stopped, or the incumbent waits on us forever while
-  // we wait on it: spill and go safe for the wait.
-  spill(requester);
-  requester.state.store(static_cast<int>(ThreadState::kSafe),
-                        std::memory_order_release);
-  std::unique_lock<std::mutex> lk(gSpMu);
-  gSpCv.notify_all();
-  while (gStopper != nullptr) gSpCv.wait_for(lk, std::chrono::microseconds(100));
-  requester.state.store(static_cast<int>(ThreadState::kRunning),
-                        std::memory_order_release);
-  gStopper = &requester;
+  auto& lot = ParkingLot::instance();
+  // Queue behind another stopper (GC, sampler) as a mutator: once it
+  // raises its request, wait that stop out counted as parked, or it
+  // would wait on us forever while we wait on it.
+  for (ThreadContext* none = nullptr;
+       !gStopper.compare_exchange_strong(none, &requester, std::memory_order_seq_cst);
+       none = nullptr) {
+    if (stopRequested_.load(std::memory_order_seq_cst)) {
+      spill(requester);
+      wait_out_stop(requester, ThreadState::kParked);
+    } else {
+      lot.park(&gStopper,
+               [] {
+                 return gStopper.load(std::memory_order_relaxed) != nullptr &&
+                        !stopRequested_.load(std::memory_order_relaxed);
+               },
+               0, kNoDeadline);
+    }
+  }
   stopRequested_.store(true, std::memory_order_seq_cst);
+  lot.unpark_all(&gStopper);  // queued stoppers now wait this stop out
   // Wait until every other registered thread is parked or in a safe
-  // region. Poll with a timeout: threads that were already blocked in a
-  // SafeScope never signal again.
+  // region. Read the epoch before each scan: a thread the scan sees
+  // running bumps it once it stops (or unregisters), so the park
+  // returns. The predicate reads only the epoch, never the registry —
+  // the GC takes the registry lock and then every bucket lock.
   for (;;) {
+    const uint64_t epoch = gStopEpoch.load(std::memory_order_seq_cst);
     bool allStopped = true;
     TxnManager::instance().for_each_thread([&](ThreadContext* tc) {
       if (tc == &requester) return;
@@ -103,8 +129,10 @@ void Safepoint::stop_world(ThreadContext& requester) {
           static_cast<int>(ThreadState::kRunning))
         allStopped = false;
     });
-    if (allStopped) break;  // gSpMu releases; world stays stopped via flag
-    gSpCv.wait_for(lk, std::chrono::microseconds(100));
+    if (allStopped) break;
+    lot.park(&gStopEpoch,
+             [epoch] { return gStopEpoch.load(std::memory_order_relaxed) == epoch; }, 0,
+             kNoDeadline);
   }
   if (obs::enabled())
     obs::record(obs::EventKind::kSafepointStop, requester.txn.id(), -1, nullptr,
@@ -112,11 +140,14 @@ void Safepoint::stop_world(ThreadContext& requester) {
 }
 
 void Safepoint::resume_world(ThreadContext& requester) {
-  std::lock_guard<std::mutex> lk(gSpMu);
-  SBD_CHECK(gStopper == &requester);
-  gStopper = nullptr;
-  stopRequested_.store(false, std::memory_order_release);
-  gSpCv.notify_all();
+  SBD_CHECK(gStopper.load(std::memory_order_relaxed) == &requester);
+  auto& lot = ParkingLot::instance();
+  // Clear the request before giving up the stopper role: a queued
+  // stopper must not raise its own request only to see it cleared.
+  stopRequested_.store(false, std::memory_order_seq_cst);
+  lot.unpark_all(&stopRequested_);
+  gStopper.store(nullptr, std::memory_order_seq_cst);
+  lot.unpark_all(&gStopper);
 }
 
 }  // namespace sbd::core

@@ -27,7 +27,9 @@ struct StatsCounters {
   uint64_t contendedAcquires = 0;  // went through a wait queue
   uint64_t casFailures = 0;        // lost a CAS race on a lock word
   uint64_t deadlocksResolved = 0;
-  uint64_t escalations = 0;        // retry budget exhausted -> serialized retry
+  // Always 0: nothing increments it since retry-budget escalation was
+  // removed. Kept because sbd_bench reports core.escalations.
+  uint64_t escalations = 0;
 
   // Versioned (invisible-reader) granularity, LockMap::kVersioned:
   uint64_t versionedReads = 0;  // stamp-validated reads (no lock-word store)

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/timing.h"
-#include "core/degrade.h"
 #include "core/fault.h"
 #include "core/obs.h"
 #include "runtime/object.h"
@@ -64,7 +63,11 @@ size_t Transaction::buffer_bytes() const {
 
 ThreadContext::ThreadContext() { TxnManager::instance().register_thread(this); }
 
-ThreadContext::~ThreadContext() { TxnManager::instance().unregister_thread(this); }
+ThreadContext::~ThreadContext() {
+  TxnManager::instance().unregister_thread(this);
+  // A stopper whose last scan saw this thread running waits for it.
+  if (Safepoint::stop_requested()) Safepoint::notify_stopper();
+}
 
 namespace {
 struct TlsHolder {
@@ -198,7 +201,7 @@ void acquire_txn_id(ThreadContext& tc) {
     }
     tc.idWaitSinceNanos.store(0, std::memory_order_release);
   }
-  tc.txn.id_ = id;
+  tc.txn.id_.store(id, std::memory_order_relaxed);
   tc.txn.mask_ = txn_mask(id);
   mgr.publish(id, &tc.txn);
 }
@@ -208,7 +211,7 @@ void release_txn_id(ThreadContext& tc) {
   mgr.digest_slot(tc.txn.id()).store(0, std::memory_order_release);
   mgr.unpublish(tc.txn.id());
   mgr.id_pool().release(tc.txn.id());
-  tc.txn.id_ = -1;
+  tc.txn.id_.store(-1, std::memory_order_relaxed);
   tc.txn.mask_ = 0;
 }
 
@@ -240,7 +243,7 @@ void begin_initial_section(ThreadContext& tc) {
   SBD_CHECK_MSG(!tc.txn.active(), "nested atomic sections are not allowed");
   SBD_CHECK_MSG(tc.engine.has_anchor(), "SBD thread entry must set the stack anchor");
   acquire_txn_id(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
+  tc.txn.startSeq_.store(TxnManager::instance().next_seq(), std::memory_order_relaxed);
   clear_section_state(tc);
   tc.inSbd = true;
   checkpoint_section(tc);
@@ -291,9 +294,6 @@ void commit_section_sampled(ThreadContext& tc, bool sampled) {
   for (auto& action : deferred) action();
   tc.stats.commits++;
   tc.retrySleepNanos = 0;
-  // 5. Graceful degradation: the section made it through — reset the
-  //    retry budget and give up the serialization token if escalated.
-  degrade::on_commit(tc);
   if (traceStart != 0)
     obs::record(obs::EventKind::kCommit, tc.txn.id(), -1, nullptr, nullptr,
                 obs::kNoIndex, false, now_nanos() - traceStart, tc.txn.start_seq());
@@ -315,7 +315,7 @@ void split_section(ThreadContext& tc) {
   const uint64_t traceStart = sampled ? now_nanos() : 0;
   commit_section_sampled(tc, sampled);
   Safepoint::poll(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
+  tc.txn.startSeq_.store(TxnManager::instance().next_seq(), std::memory_order_relaxed);
   clear_section_state(tc);
   // Recorded BEFORE the checkpoint: an abort-restore re-arrival in
   // checkpoint_section must not replay the record.
@@ -333,7 +333,7 @@ void commit_and_release_id(ThreadContext& tc) {
 
 void reacquire_id_and_checkpoint(ThreadContext& tc) {
   acquire_txn_id(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
+  tc.txn.startSeq_.store(TxnManager::instance().next_seq(), std::memory_order_relaxed);
   clear_section_state(tc);
   checkpoint_section(tc);
 }
@@ -369,19 +369,7 @@ void abort_and_restart(ThreadContext& tc) {
   tc.stats.aborts++;
   obs::record(obs::EventKind::kAborted, tc.txn.id(), -1, nullptr, nullptr,
               obs::kNoIndex, false, 0, tc.txn.start_seq());
-  // 4. Graceful degradation: over the retry budget this blocks for the
-  //    global serialization token (we hold no locks here) so the retry
-  //    runs serialized instead of feeding the abort storm.
-  degrade::on_abort(tc);
-  if (tc.holdsSerialToken) {
-    // Serialized retry: the token holder cannot race other escalated
-    // sections, so it skips the backoff and restarts immediately.
-    // restore() rebuilds the stack and never returns — steps 5 and 6
-    // below are unreachable on this path.
-    Safepoint::poll(tc);
-    tc.engine.restore(tc.sectionStart);
-  }
-  // 5. Back off a little so the conflict winner can finish.
+  // 4. Back off a little so the conflict winner can finish.
   if (tc.retrySleepNanos == 0)
     tc.retrySleepNanos = 20'000;
   else if (tc.retrySleepNanos < 1'000'000)
@@ -391,7 +379,7 @@ void abort_and_restart(ThreadContext& tc) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(tc.retrySleepNanos));
   }
   Safepoint::poll(tc);
-  // 6. Rebuild the stack and re-execute from the section start.
+  // 5. Rebuild the stack and re-execute from the section start.
   tc.engine.restore(tc.sectionStart);
 }
 

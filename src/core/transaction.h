@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <type_traits>
 #include <vector>
@@ -70,10 +69,10 @@ class Transaction {
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  bool active() const { return id_ >= 0; }
-  int id() const { return id_; }
+  bool active() const { return id() >= 0; }
+  int id() const { return id_.load(std::memory_order_relaxed); }
   LockWord mask() const { return mask_; }
-  uint64_t start_seq() const { return startSeq_; }
+  uint64_t start_seq() const { return startSeq_.load(std::memory_order_relaxed); }
 
   void log_undo(runtime::ManagedObject* obj, uint64_t* slot, uint64_t oldValue) {
     undoLog_.push_back(UndoEntry{obj, slot, oldValue});
@@ -138,9 +137,11 @@ class Transaction {
 
   // Internal to the STM engine (section control and lock engine).
   // User code must treat everything below as private.
-  int id_ = -1;
+  // Atomic (relaxed) because the watchdog and request_abort read them
+  // from other threads; only the owner writes them.
+  std::atomic<int> id_{-1};
   LockWord mask_ = 0;
-  uint64_t startSeq_ = 0;
+  std::atomic<uint64_t> startSeq_{0};
   std::atomic<bool> abortRequested_{false};
   std::atomic<bool> inevitable_{false};
   std::atomic<bool> waiting_{false};
@@ -231,13 +232,6 @@ struct ThreadContext {
   bool inSbd = false;  // between enter_thread and leave_thread
   uint64_t retrySleepNanos = 0;
 
-  // Robustness bookkeeping (core/degrade.h, core/watchdog.h).
-  // consecutiveAborts: aborts of the current logical section without an
-  // intervening commit; read by the watchdog, so atomic (relaxed).
-  std::atomic<uint64_t> consecutiveAborts{0};
-  // True while this thread holds the global serialization token after
-  // retry-budget escalation; owner-thread-only, released at commit.
-  bool holdsSerialToken = false;
   // now_nanos() when this thread started blocking for a transaction id,
   // 0 otherwise (watchdog visibility into §3.3 pool starvation).
   std::atomic<uint64_t> idWaitSinceNanos{0};
@@ -245,9 +239,12 @@ struct ThreadContext {
   // (watchdog visibility into blocked transactions).
   std::atomic<uint64_t> lockWaitSinceNanos{0};
 
-  // Thread-local memory with undo (§3.5): values live in a deque so
-  // undo-log slot pointers stay stable; scanned conservatively by GC.
-  std::deque<uint64_t> txLocalSlots;
+  // Thread-local memory with undo (§3.5), one cell per TxLocal object
+  // (threads/tx_local.h). A fixed array: undo-log slot pointers stay
+  // stable, and another thread's aggregate loads a cell while the owner
+  // stores to it. Scanned conservatively by the GC.
+  static constexpr uint32_t kTxLocalCells = 128;
+  std::atomic<uint64_t> txLocalCells[kTxLocalCells] = {};
 };
 
 // Returns the calling thread's context, creating it on first use.
@@ -434,8 +431,10 @@ class Safepoint {
   // may scan the thread's stack above the entry point and the registers
   // spilled at entry; the enclosed code must not hold the only reference
   // to a managed object in locals (runtime-internal waits satisfy this
-  // by keeping side records). Entry costs a register capture and a
-  // seq_cst store; wrap only waits that can actually block.
+  // by keeping side records), and must neither poll nor open another
+  // SafeScope: an exit that waits out a stop still relies on the entry
+  // spill. Entry costs a register capture and a seq_cst store; wrap
+  // only waits that can actually block.
   class SafeScope {
    public:
     explicit SafeScope(ThreadContext& tc);
@@ -454,8 +453,14 @@ class Safepoint {
     return stopRequested_.load(std::memory_order_relaxed);
   }
 
+  // Makes a pending stop_world rescan the registry. Called by a thread
+  // that stopped counting as running while a stop was pending: it went
+  // safe or parked, or it unregistered.
+  static void notify_stopper();
+
  private:
   static void park(ThreadContext& tc);
+  static void wait_out_stop(ThreadContext& tc, ThreadState stopped);
   static std::atomic<bool> stopRequested_;
 };
 

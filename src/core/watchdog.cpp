@@ -1,8 +1,6 @@
 #include "core/watchdog.h"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -23,9 +21,8 @@ std::mutex gCtlMu;  // serializes start/stop
 std::thread gThread;
 Watchdog::Options gOpts;
 
-std::mutex gSleepMu;
-std::condition_variable gSleepCv;
-bool gRun = false;  // under gSleepMu
+// Cleared by stop(), which then unparks the sleeping watchdog.
+std::atomic<bool> gRun{false};
 
 std::atomic<uint64_t> gStalls{0};
 std::atomic<uint64_t> gVictims{0};
@@ -51,7 +48,6 @@ struct WaitSnap {
   bool idPool;
   int txnId;
   uint64_t startSeq;
-  uint64_t consecAborts;
   const LockWord* word;
 };
 
@@ -95,14 +91,12 @@ void check_wait(const WaitSnap& s, uint64_t now, std::map<uint64_t, StallRec>& r
                      TxnManager::instance().id_pool().diagnose().c_str());
       } else {
         std::fprintf(stderr,
-                     "[sbd-watchdog] txn %d blocked %.1f ms on lock %s (queue depth %zu, "
-                     "%llu consecutive aborts)\n",
+                     "[sbd-watchdog] txn %d blocked %.1f ms on lock %s (queue depth %zu)\n",
                      s.txnId, waited / 1e6,
                      obs::lock_name(sym.cls, sym.index,
                                     reinterpret_cast<uint64_t>(lockAddr))
                          .c_str(),
-                     queueDepth,
-                     static_cast<unsigned long long>(s.consecAborts));
+                     queueDepth);
         // Hottest locks so far — points straight at the contended
         // class:field when the stall is contention, not a bug.
         const std::string hot = obs::hot_report(5);
@@ -130,12 +124,10 @@ void run() {
   std::map<uint64_t, StallRec> lockRecs, idRecs;
   std::vector<WaitSnap> snaps;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(gSleepMu);
-      gSleepCv.wait_for(lk, std::chrono::nanoseconds(gOpts.pollIntervalNanos),
-                        [] { return !gRun; });
-      if (!gRun) return;
-    }
+    ParkingLot::instance().park(
+        &gRun, [] { return gRun.load(std::memory_order_relaxed); }, 0,
+        now_nanos() + gOpts.pollIntervalNanos);
+    if (!gRun.load(std::memory_order_relaxed)) return;
     const uint64_t now = now_nanos();
     std::set<uint64_t> live;
     snaps.clear();
@@ -150,11 +142,10 @@ void run() {
       const uint64_t ls = tc->lockWaitSinceNanos.load(std::memory_order_acquire);
       const uint64_t is = tc->idWaitSinceNanos.load(std::memory_order_acquire);
       if (ls != 0)
-        snaps.push_back({tc->uid, ls, /*idPool=*/false, tc->txn.id_, tc->txn.startSeq_,
-                         tc->consecutiveAborts.load(std::memory_order_relaxed),
+        snaps.push_back({tc->uid, ls, /*idPool=*/false, tc->txn.id(), tc->txn.start_seq(),
                          tc->txn.waiting_on()});
       if (is != 0)
-        snaps.push_back({tc->uid, is, /*idPool=*/true, -1, 0, 0, nullptr});
+        snaps.push_back({tc->uid, is, /*idPool=*/true, -1, 0, nullptr});
     });
     // Act phase: registry lock released; bucket locks are now safe.
     for (const WaitSnap& s : snaps)
@@ -172,21 +163,15 @@ void Watchdog::start(const Options& opts) {
   std::lock_guard<std::mutex> ctl(gCtlMu);
   if (gThread.joinable()) return;
   gOpts = opts;
-  {
-    std::lock_guard<std::mutex> lk(gSleepMu);
-    gRun = true;
-  }
+  gRun.store(true, std::memory_order_relaxed);
   gThread = std::thread(run);
 }
 
 void Watchdog::stop() {
   std::lock_guard<std::mutex> ctl(gCtlMu);
   if (!gThread.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(gSleepMu);
-    gRun = false;
-  }
-  gSleepCv.notify_all();
+  gRun.store(false, std::memory_order_relaxed);
+  ParkingLot::instance().unpark_all(&gRun);
   gThread.join();
 }
 

@@ -303,7 +303,10 @@ void Heap::trace(ManagedObject* o) {
   }
 }
 
-void Heap::scan_words(const void* begin, const void* end) {
+// Conservative scan of raw words. Stacks carry ASan redzones between
+// locals, so the reads are left uninstrumented, as the checkpoint's
+// stack copy is.
+[[gnu::no_sanitize_address]] void Heap::scan_words(const void* begin, const void* end) {
   auto* p = reinterpret_cast<const uintptr_t*>(
       align_up(reinterpret_cast<uintptr_t>(begin), sizeof(uintptr_t)));
   auto* e = reinterpret_cast<const uintptr_t*>(end);
@@ -359,8 +362,9 @@ void Heap::mark_from_roots() {
     });
     t->txn.init_log().for_each([&](ManagedObject* o) { mark_object(o); });
     // Thread-local cells may hold references.
-    for (uint64_t v : t->txLocalSlots) {
-      ManagedObject* o = find_object(reinterpret_cast<void*>(v));
+    for (const auto& cell : t->txLocalCells) {
+      ManagedObject* o =
+          find_object(reinterpret_cast<void*>(cell.load(std::memory_order_relaxed)));
       if (o) mark_object(o);
     }
     std::vector<ManagedObject*> rr;

@@ -1,7 +1,6 @@
 #include "serve/serve.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "api/sbd.h"
+#include "common/timing.h"
 #include "core/fault.h"
 #include "core/obs.h"
 #include "core/queue.h"
@@ -204,8 +204,6 @@ struct Server::Impl {
 
   std::atomic<uint64_t> inFlight{0};
   std::atomic<bool> stopping{false};
-  std::mutex drainMu;
-  std::condition_variable drainCv;
 
   Impl(db::Database& d, Config c) : db(d), cfg(c) {}
 
@@ -415,15 +413,12 @@ struct Server::Impl {
     } else {
       retire(c);
     }
-    // Only shutdown() waits on drainCv. Both sides store their own
+    // Only shutdown() parks on &inFlight. Both sides store their own
     // variable, then load the other's, seq_cst: if this load misses
-    // `stopping`, shutdown's predicate sees the decrement. The notify
-    // takes drainMu so it cannot fall between that predicate and the wait.
+    // `stopping`, shutdown's predicate sees the decrement.
     inFlight.fetch_sub(1, std::memory_order_seq_cst);
-    if (stopping.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lk(drainMu);
-      drainCv.notify_all();
-    }
+    if (stopping.load(std::memory_order_seq_cst))
+      core::ParkingLot::instance().unpark_all(&inFlight);
   }
 
   void retire(Conn& c) {
@@ -467,10 +462,16 @@ void Server::shutdown() {
   s.ready->stop();     // workers drain the queue, then see nullptr
   {
     // Drain: give in-flight (and already-queued) requests their grace.
-    std::unique_lock<std::mutex> lk(s.drainMu);
-    s.drainCv.wait_for(lk, std::chrono::milliseconds(s.cfg.drainTimeoutMs), [&] {
-      return s.inFlight.load(std::memory_order_seq_cst) == 0 && s.ready->empty();
-    });
+    // The park predicate may read only atomics, and ReadyQueue::empty
+    // takes the queue mutex, so the queue is re-checked outside it; a
+    // queued request with none in flight is a worker about to pop it.
+    const uint64_t deadline = now_nanos() + s.cfg.drainTimeoutMs * 1'000'000;
+    auto busy = [&s] { return s.inFlight.load(std::memory_order_seq_cst) != 0; };
+    while ((busy() || !s.ready->empty()) && now_nanos() < deadline) {
+      if (core::ParkingLot::instance().park(&s.inFlight, busy, 0, deadline) ==
+          core::ParkResult::kNotBlocked)
+        std::this_thread::yield();
+    }
   }
   {
     // Force phase: EOF every connection. A worker still blocked on a

@@ -16,16 +16,25 @@
 namespace sbd::threads {
 
 namespace detail {
-inline uint64_t& local_slot(core::ThreadContext& tc, uint32_t index) {
-  while (tc.txLocalSlots.size() <= index) tc.txLocalSlots.push_back(0);
-  return tc.txLocalSlots[index];
+// Owner-thread access to a cell. Cells are atomic (relaxed: plain
+// loads and stores) only so that TxLocalI64::aggregate may read them.
+inline uint64_t local_get(uint32_t index) {
+  return core::tls_context().txLocalCells[index].load(std::memory_order_relaxed);
 }
-inline uint64_t& local_slot(uint32_t index) {
-  return local_slot(core::tls_context(), index);
+inline void local_set(uint32_t index, uint64_t v) {
+  auto& tc = core::tls_context();  // one TLS lookup for cell + undo log
+  std::atomic<uint64_t>& cell = tc.txLocalCells[index];
+  // The abort path restores the old value with an atomic store too.
+  if (tc.txn.active())
+    tc.txn.log_undo(nullptr, reinterpret_cast<uint64_t*>(&cell),
+                    cell.load(std::memory_order_relaxed));
+  cell.store(v, std::memory_order_relaxed);
 }
 inline uint32_t next_local_index() {
   static std::atomic<uint32_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+  const uint32_t i = counter.fetch_add(1, std::memory_order_relaxed);
+  SBD_CHECK_MSG(i < core::ThreadContext::kTxLocalCells, "too many TxLocal cells");
+  return i;
 }
 }  // namespace detail
 
@@ -35,14 +44,9 @@ class TxLocalI64 {
  public:
   TxLocalI64() : index_(detail::next_local_index()) {}
 
-  int64_t get() const { return static_cast<int64_t>(detail::local_slot(index_)); }
+  int64_t get() const { return static_cast<int64_t>(detail::local_get(index_)); }
 
-  void set(int64_t v) {
-    auto& tc = core::tls_context();  // one TLS lookup for slot + undo log
-    uint64_t& slot = detail::local_slot(tc, index_);
-    if (tc.txn.active()) tc.txn.log_undo(nullptr, &slot, slot);
-    slot = static_cast<uint64_t>(v);
-  }
+  void set(int64_t v) { detail::local_set(index_, static_cast<uint64_t>(v)); }
 
   void add(int64_t delta) { set(get() + delta); }
 
@@ -51,8 +55,7 @@ class TxLocalI64 {
   int64_t aggregate() const {
     int64_t sum = 0;
     core::TxnManager::instance().for_each_thread([&](core::ThreadContext* tc) {
-      if (tc->txLocalSlots.size() > index_)
-        sum += static_cast<int64_t>(tc->txLocalSlots[index_]);
+      sum += static_cast<int64_t>(tc->txLocalCells[index_].load(std::memory_order_relaxed));
     });
     return sum;
   }
@@ -68,15 +71,10 @@ class TxLocalRef {
   TxLocalRef() : index_(detail::next_local_index()) {}
 
   RefT get() const {
-    return RefT(reinterpret_cast<runtime::ManagedObject*>(detail::local_slot(index_)));
+    return RefT(reinterpret_cast<runtime::ManagedObject*>(detail::local_get(index_)));
   }
 
-  void set(RefT v) {
-    auto& tc = core::tls_context();  // one TLS lookup for slot + undo log
-    uint64_t& slot = detail::local_slot(tc, index_);
-    if (tc.txn.active()) tc.txn.log_undo(nullptr, &slot, slot);
-    slot = reinterpret_cast<uint64_t>(v.raw());
-  }
+  void set(RefT v) { detail::local_set(index_, reinterpret_cast<uint64_t>(v.raw())); }
 
   // Returns the cached per-thread instance, creating it via `make` on
   // first use in this thread.

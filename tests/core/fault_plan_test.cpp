@@ -6,10 +6,17 @@
 
 #include <vector>
 
+#include "api/sbd.h"
 #include "core/fault.h"
 
 namespace sbd::fault {
 namespace {
+
+class Counter : public runtime::TypedRef<Counter> {
+ public:
+  SBD_CLASS(FaultPlanCounter, SBD_SLOT("n"))
+  SBD_FIELD_I64(0, n)
+};
 
 std::vector<bool> draw(Site s, int n) {
   std::vector<bool> out;
@@ -121,6 +128,36 @@ TEST(FaultPlan, SplitAbortScopeRestoresEnclosingInjection) {
   for (int i = 0; i < 10; i++) spliced.push_back(should_fire(Site::kSplitAbort));
   EXPECT_EQ(spliced, whole);
   clear_plan();
+}
+
+TEST(FaultPlan, AbortStormThrashersAllCompleteCorrectly) {
+  // 70% of splits abort while four threads fight over one counter:
+  // exponential backoff and deadlock resolution alone must drain the
+  // storm, and no increment may be lost or applied twice.
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 25;
+  runtime::GlobalRoot<Counter> total;
+  run_sbd([&] {
+    Counter c = Counter::alloc();
+    c.init_n(0);
+    total.set(c);
+  });
+  {
+    PlanScope storm(single_site(Site::kSplitAbort, 0.7, 9));
+    std::vector<SbdThread> ts;
+    for (int t = 0; t < kThreads; t++) {
+      ts.emplace_back([&] {
+        for (int i = 0; i < kIncrements; i++) {
+          Counter c = total.get();
+          c.set_n(c.n() + 1);
+          split();
+        }
+      });
+    }
+    for (auto& t : ts) t.start();
+    for (auto& t : ts) t.join();
+  }
+  run_sbd([&] { EXPECT_EQ(total.get().n(), kThreads * kIncrements); });
 }
 
 }  // namespace

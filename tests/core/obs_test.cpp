@@ -310,7 +310,7 @@ TEST(ObsMetrics, SnapshotContainsEverySection) {
   const std::string json = obs::metrics_json();
   for (const char* key :
        {"\"counters\"", "\"acqRls\"", "\"deadlocksResolved\"", "\"txnFootprints\"",
-        "\"gauges\"", "\"lockpool\"", "\"watchdog\"", "\"degrade\"", "\"trace\"",
+        "\"gauges\"", "\"lockpool\"", "\"watchdog\"", "\"trace\"",
         "\"dropped\"", "\"hotLocks\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in:\n"
                                                  << json;

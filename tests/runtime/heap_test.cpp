@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -289,6 +291,97 @@ TEST(Gc, SafeRegionRegistersAreRoots) {
   }
   cv.notify_all();
   t.join();
+}
+
+// The stop-the-world handshake under churn: mutators enter and leave
+// safe regions, poll and allocate (the allocations start GCs, so a
+// second stopper queues up) while this thread stops and resumes the
+// world. While a stop holds, no mutator makes progress and every other
+// registered thread settles into a stopped state.
+TEST(Safepoint, StopResumeChurn) {
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 2000;
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> progress[kThreads] = {};
+  Heap::instance().set_gc_threshold(1 << 20);
+  std::vector<SbdThread> ts;
+  for (int t = 0; t < kThreads; t++) {
+    ts.emplace_back([&, t] {
+      auto& tc = core::tls_context();
+      started.fetch_add(1);
+      for (int i = 0; !done.load(); i++) {
+        { core::Safepoint::SafeScope safe(tc); }
+        progress[t].fetch_add(1);  // mutator work right after a safe region
+        core::Safepoint::poll(tc);
+        Node n = Node::alloc();
+        n.init_v(i);
+        if (i % 64 == 0) split();
+      }
+    });
+  }
+  for (auto& t : ts) t.start();
+  while (started.load() < kThreads) std::this_thread::yield();
+  auto& me = core::tls_context();
+  int running = 0, moved = 0;
+  for (int c = 0; c < kCycles; c++) {
+    core::Safepoint::stop_world(me);
+    uint64_t before[kThreads];
+    for (int t = 0; t < kThreads; t++) before[t] = progress[t].load();
+    // A thread leaving a safe region stores kRunning, sees the stop and
+    // steps back: re-read the states until that transient settles.
+    int stillRunning = 0;
+    for (int tries = 0; tries < 2000; tries++) {
+      stillRunning = 0;
+      core::TxnManager::instance().for_each_thread([&](core::ThreadContext* tc) {
+        stillRunning += tc != &me && tc->state.load() ==
+                                         static_cast<int>(core::ThreadState::kRunning);
+      });
+      if (stillRunning == 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    running += stillRunning;
+    for (int t = 0; t < kThreads; t++) moved += progress[t].load() != before[t];
+    core::Safepoint::resume_world(me);
+    // Let the mutators run, and a GC queued behind this stopper stop
+    // the world in turn.
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  done.store(true);
+  for (auto& t : ts) t.join();
+  Heap::instance().set_gc_threshold(48ULL << 20);
+  EXPECT_EQ(running, 0) << "a registered thread stayed running during a stop";
+  EXPECT_EQ(moved, 0) << "a mutator made progress during a stop";
+  for (int t = 0; t < kThreads; t++) EXPECT_GT(progress[t].load(), 0u);
+}
+
+// A thread that unregisters (exits) while a stop is pending, without
+// ever polling, must still release the stopper.
+TEST(Safepoint, ThreadExitDuringStopReleasesStopper) {
+  std::atomic<bool> registered{false};
+  std::thread leaver([&] {
+    core::tls_context();  // registered and running; never polls
+    registered.store(true);
+    while (!core::Safepoint::stop_requested()) std::this_thread::yield();
+  });
+  while (!registered.load()) std::this_thread::yield();
+  std::atomic<bool> finished{false};
+  std::thread guard([&] {  // not an SBD thread: never stopped
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!finished.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "stop_world still waiting 30 s after the last thread exited\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  auto& me = core::tls_context();
+  core::Safepoint::stop_world(me);
+  core::Safepoint::resume_world(me);
+  finished.store(true);
+  guard.join();
+  leaver.join();
 }
 
 TEST(Statics, TransactionalStaticSlots) {

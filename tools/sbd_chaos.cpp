@@ -50,7 +50,6 @@
 #include "analyzer/oracle.h"
 #include "api/sbd.h"
 #include "common/rng.h"
-#include "core/degrade.h"
 #include "core/fault.h"
 #include "core/obs.h"
 #include "core/transaction.h"
@@ -457,12 +456,11 @@ bool run_one_seed(const Config& cfg, uint64_t seed, Sums& sums,
     }
   }
 
-  std::printf("seed %" PRIu64 ": %s  commits=%llu aborts=%llu deadlocks=%llu escalations=%llu\n",
+  std::printf("seed %" PRIu64 ": %s  commits=%llu aborts=%llu deadlocks=%llu\n",
               seed, ok ? "OK" : "FAIL",
               static_cast<unsigned long long>(stats.commits),
               static_cast<unsigned long long>(stats.aborts),
-              static_cast<unsigned long long>(stats.deadlocksResolved),
-              static_cast<unsigned long long>(stats.escalations));
+              static_cast<unsigned long long>(stats.deadlocksResolved));
   std::printf("  sites:");
   for (int i = 0; i < fault::kNumSites; i++) {
     const auto s = static_cast<fault::Site>(i);
