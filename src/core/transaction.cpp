@@ -284,7 +284,9 @@ void commit_section_sampled(ThreadContext& tc, bool sampled) {
   if (fullTrace)
     obs::record(obs::EventKind::kCommitOrder, tc.txn.id(), -1, nullptr, nullptr,
                 obs::kNoIndex, false, 0, tc.txn.start_seq(), tc.txn.commitVersion_);
-  // 3. Release all field/element locks and wake waiters.
+  // 3. Release all field/element locks and wake waiters; array read
+  //    views of this section go stale with them.
+  tc.sectionEpoch++;
   LockEngine::release_all(tc, /*committed=*/true);
   TxnManager::instance().digest_slot(tc.txn.id()).store(0, std::memory_order_release);
   // 4. Run deferred actions (thread starts, notifies) after locks are
@@ -362,7 +364,9 @@ void abort_and_restart(ThreadContext& tc) {
     reinterpret_cast<std::atomic<uint64_t>*>(ue.slot)->store(ue.oldValue,
                                                              std::memory_order_relaxed);
   });
-  // 3. Release locks; instances in the init log become garbage.
+  // 3. Release locks (array read views go stale); instances in the init
+  //    log become garbage.
+  tc.sectionEpoch++;
   LockEngine::release_all(tc, /*committed=*/false);
   TxnManager::instance().digest_slot(tc.txn.id()).store(0, std::memory_order_release);
   clear_section_state(tc);

@@ -218,6 +218,11 @@ struct ThreadContext {
   void* stackAnchor = nullptr;
   uint32_t pollCountdown = 0;
 
+  // Bumped whenever a section ends (commit, split, abort): an array
+  // read view (runtime/field_access.h) is valid only within the epoch
+  // that created it.
+  uint64_t sectionEpoch = 0;
+
   // Virtual-time accounting (Figure 7 on the 1-core host).
   uint64_t blockedNanos = 0;
   uint64_t busyNanosCommitted = 0;

@@ -163,6 +163,8 @@ uint64_t sbd_query(const SbdIndex& idx, const std::vector<std::string>& terms) {
   // Check-New column of Table 7: scratch state allocated inside the
   // section needs only the null check (Table 1 "new instance" row).
   auto acc = runtime::F64Array::make(idx.numDocs);
+  // Doc lengths are read-locked once per query section, not per posting.
+  const auto docLens = idx.docLens.get().read_view(sbd::context(), 0, idx.numDocs);
   for (const auto& term : terms) {
     auto* vecRaw = idx.postings.get().get(term);
     if (!vecRaw) continue;
@@ -173,7 +175,7 @@ uint64_t sbd_query(const SbdIndex& idx, const std::vector<std::string>& terms) {
       const auto doc = static_cast<uint32_t>(p.doc());
       acc.set(doc, acc.get(doc) + text::tfidf_score(
                                        static_cast<uint32_t>(p.tf()), df, idx.numDocs,
-                                       static_cast<uint64_t>(idx.docLens.get().get(doc))));
+                                       static_cast<uint64_t>(docLens[doc])));
     }
   }
   // Same selection semantics as text::top_k over the map-based baseline:

@@ -5,11 +5,13 @@
 // In the paper this benchmark has the highest SBD overhead (~100%):
 // almost every instruction is a memory access, so lock initialization
 // and owned-checks dominate (Table 7: Sunflow has the largest Init and
-// Check-Owned counts). The SBD variant reproduces that profile by
-// keeping the scene geometry and the framebuffer in managed arrays:
-// per-tile rendering first read-locks the scene arrays (lock init +
-// acquire the first time, owned checks after) and writes every pixel
-// through an element-level write lock.
+// Check-Owned counts) until the JIT's loop hoisting (O2) lifts the
+// per-ray checks out of the render loop. The SBD variant keeps the scene
+// geometry and the framebuffer in managed arrays and does that hoist by
+// hand: each tile's section opens one array read view per scene array,
+// which read-locks every scene element once (lock init the first time),
+// so per-ray scene reads are plain loads instead of owned checks. Every
+// pixel is still written through an element-level write lock.
 #include <algorithm>
 #include <cmath>
 #include <atomic>
@@ -68,8 +70,8 @@ uint64_t run_baseline_once(const SunflowConfig& cfg, int threads) {
 // --- SBD ---------------------------------------------------------------------
 //
 // Scene geometry lives in managed F64Arrays (struct-of-arrays); the
-// renderer re-reads it through the synchronized access path per tile,
-// and writes every pixel through tx element writes.
+// renderer read-locks it once per tile through array read views, and
+// writes every pixel through tx element writes.
 
 struct SbdScene {
   runtime::GlobalRoot<runtime::F64Array> sphereData;  // 10 doubles per sphere
@@ -108,25 +110,31 @@ void build_sbd_scene(SbdScene& out, uint64_t seed) {
 }
 
 // The managed-scene tracer: the bytecode-transformed equivalent of
-// raytrace::trace(). Every sphere/light read goes through the
-// synchronized element path PER RAY — within a tile's section the first
-// ray acquires the read locks, every later ray pays owned-checks, which
-// is exactly the paper's Sunflow profile (Table 7: Check-Owned >> Acq).
-// The math mirrors raytrace.cpp operation-for-operation so images are
+// raytrace::trace(), reading the scene through the tile section's read
+// views (the JIT's hoisted form of the per-ray sd.get checks). The math
+// mirrors raytrace.cpp operation-for-operation so images are
 // bit-identical to the baseline.
 struct TxTracer {
   const SbdScene& s;
-  core::ThreadContext& tc;  // cached once per worker: scene reads are per-ray
+  runtime::ArrayReadView<double> sd;  // 10 doubles per sphere
+  runtime::ArrayReadView<double> ld;  // 6 doubles per light
+
+  // Must run after the split that starts the tile's section.
+  TxTracer(const SbdScene& scene, core::ThreadContext& tc)
+      : s(scene),
+        sd(scene.sphereData.get().read_view(
+            tc, 0, static_cast<uint64_t>(scene.numSpheres) * 10)),
+        ld(scene.lightData.get().read_view(
+            tc, 0, static_cast<uint64_t>(scene.numLights) * 6)) {}
 
   raytrace::HitInfo intersect_tx(const raytrace::Ray& ray) const {
     raytrace::HitInfo best;
     double bestT = 1e30;
-    auto sd = s.sphereData.get();
     for (int i = 0; i < s.numSpheres; i++) {
       const auto base = static_cast<uint64_t>(i) * 10;
       raytrace::Sphere sp;
-      sp.center = {sd.get(tc, base), sd.get(tc, base + 1), sd.get(tc, base + 2)};
-      sp.radius = sd.get(tc, base + 3);
+      sp.center = {sd[base], sd[base + 1], sd[base + 2]};
+      sp.radius = sd[base + 3];
       double t;
       if (raytrace::hit_sphere(sp, ray, t) && t < bestT) {
         bestT = t;
@@ -134,11 +142,10 @@ struct TxTracer {
         best.t = t;
         best.point = ray.origin + ray.dir * t;
         best.normal = (best.point - sp.center).normalized();
-        best.mat.color = {sd.get(tc, base + 4), sd.get(tc, base + 5),
-                          sd.get(tc, base + 6)};
-        best.mat.diffuse = sd.get(tc, base + 7);
-        best.mat.specular = sd.get(tc, base + 8);
-        best.mat.reflect = sd.get(tc, base + 9);
+        best.mat.color = {sd[base + 4], sd[base + 5], sd[base + 6]};
+        best.mat.diffuse = sd[base + 7];
+        best.mat.specular = sd[base + 8];
+        best.mat.reflect = sd[base + 9];
       }
     }
     for (const raytrace::Plane& pl : s.proto.planes) {
@@ -160,13 +167,10 @@ struct TxTracer {
     const raytrace::HitInfo hit = intersect_tx(ray);
     if (!hit.hit) return s.proto.background;
     raytrace::Vec3 color{0, 0, 0};
-    auto ld = s.lightData.get();
     for (int i = 0; i < s.numLights; i++) {
       const auto base = static_cast<uint64_t>(i) * 6;
-      const raytrace::Vec3 lightPos{ld.get(tc, base), ld.get(tc, base + 1),
-                                    ld.get(tc, base + 2)};
-      const raytrace::Vec3 lightColor{ld.get(tc, base + 3), ld.get(tc, base + 4),
-                                      ld.get(tc, base + 5)};
+      const raytrace::Vec3 lightPos{ld[base], ld[base + 1], ld[base + 2]};
+      const raytrace::Vec3 lightColor{ld[base + 3], ld[base + 4], ld[base + 5]};
       const raytrace::Vec3 toLight = lightPos - hit.point;
       const double dist = toLight.norm();
       const raytrace::Vec3 l = toLight.normalized();
@@ -210,8 +214,9 @@ uint64_t run_sbd_once(const SbdScene& sbdScene, const SunflowConfig& cfg, int th
           if (tile >= numTiles) break;
           nextTile.get().set(tc, 0, tile + 1);
           split(tc);
-          // Every scene read per ray goes through the synchronized path.
-          const TxTracer tracer{sbdScene, tc};
+          // Read-lock the scene once for the tile (after the split, so an
+          // abort of the tile's section re-creates the views).
+          const TxTracer tracer(sbdScene, tc);
           const int y0 = static_cast<int>(tile) * cfg.tileRows;
           const int y1 = std::min(cfg.height, y0 + cfg.tileRows);
           auto fb = framebuffer.get();

@@ -20,6 +20,7 @@
 // thin compatibility wrapper that resolves the TLS itself.
 #pragma once
 
+#include <bit>
 #include <cstring>
 
 #include "common/check.h"
@@ -40,15 +41,69 @@ inline void maybe_poll(core::ThreadContext& tc) {
   }
 }
 
-// Fig. 5 step 2: lazily materialize the lock array if `lp` (the loaded
-// locks pointer) still says UNALLOC. Shared by the read and write paths.
-inline core::LockWord* locks_or_materialize(core::ThreadContext& tc, ManagedObject* o,
-                                            core::LockWord* lp) {
+// Fig. 5 steps 1-2 (after the poll): the lock array covering `o`, or
+// nullptr when the access needs no lock — no active section (bootstrap /
+// teardown code), or (1) `o` is new in this transaction. (2) lazily
+// materializes the array if it still says UNALLOC. Shared by every path.
+inline core::LockWord* lock_array(core::ThreadContext& tc, ManagedObject* o) {
+  if (!tc.txn.active()) return nullptr;
+  core::LockWord* lp = o->locks.load(std::memory_order_acquire);
+  if (lp == nullptr) {
+    tc.stats.checkNew++;
+    return nullptr;
+  }
   if (lp == kUnalloc) {
     tc.stats.lockInit++;
     lp = materialize_locks(o);
   }
   return lp;
+}
+
+// Fig. 5 steps 3-4 for a read under a locking (non-versioned) map:
+// (3) our bit is already set, or (4) acquire or enqueue.
+inline void read_lock_word(core::ThreadContext& tc, ManagedObject* o, core::LockWord* word) {
+  const core::LockWord w =
+      reinterpret_cast<std::atomic<core::LockWord>*>(word)->load(std::memory_order_acquire);
+  if (core::is_member(w, tc.txn.mask())) {
+    tc.stats.checkOwned++;
+    return;
+  }
+  core::LockEngine::acquire_read(tc, o, word);
+}
+
+// Fig. 5 steps 3-4 for a write under a locking map, plus the undo log of
+// `valueSlot`.
+inline void write_lock_word(core::ThreadContext& tc, ManagedObject* o, core::LockWord* word,
+                            uint64_t* valueSlot) {
+  const core::LockWord w =
+      reinterpret_cast<std::atomic<core::LockWord>*>(word)->load(std::memory_order_acquire);
+  if (core::is_member(w, tc.txn.mask()) && core::has_writer(w)) {
+    tc.stats.checkOwned++;
+    // Identity map: an owned write lock implies THIS slot's old value
+    // was logged when the lock was acquired. Coarse maps break that
+    // implication (the word covers several slots), so log the slot on
+    // every owned hit — duplicates are safe, the undo replay is
+    // newest-first and re-applies the oldest value last.
+    if (!o->h.cls->lockMap.identity()) tc.txn.log_undo(o, valueSlot, *valueSlot);
+    return;
+  }
+  core::LockEngine::acquire_write(tc, o, word);
+  tc.txn.log_undo(o, valueSlot, *valueSlot);
+}
+
+// The read and write checks of callers that already dispatched a
+// versioned map to the invisible-read path, so the class's map is read
+// once per access.
+inline void locking_read(core::ThreadContext& tc, ManagedObject* o, uint64_t slot) {
+  maybe_poll(tc);
+  if (core::LockWord* lp = lock_array(tc, o)) read_lock_word(tc, o, lp + lock_index(o, slot));
+}
+
+inline void locking_write(core::ThreadContext& tc, ManagedObject* o, uint64_t slot,
+                          uint64_t* valueSlot) {
+  maybe_poll(tc);
+  if (core::LockWord* lp = lock_array(tc, o))
+    write_lock_word(tc, o, lp + lock_index(o, slot), valueSlot);
 }
 
 // --- Versioned (invisible-reader) access, LockMap::kVersioned ----------
@@ -67,15 +122,6 @@ inline const uint64_t* covered_word(ManagedObject* o, uint64_t slot) {
   return o->array_data() + slot;
 }
 
-// Versioned maps are identity by construction (one stamp per natural
-// index), so the stamp index skips lock_index()'s out-of-line call —
-// measurable on the invisible-read fast path.
-inline uint32_t versioned_lock_index(const ManagedObject* o, uint64_t slot) {
-  if (o->h.cls->isArray && o->h.cls->elemKind == ElemKind::kI8)
-    return static_cast<uint32_t>(slot / kI8LockStride);
-  return static_cast<uint32_t>(slot);
-}
-
 // Invisible read of the covered word: load stamp, load value, fence,
 // re-check stamp, append to the read set (validated at split/commit).
 // The one-shot seqlock attempt is inlined; a locked or stale stamp, a
@@ -85,14 +131,9 @@ inline uint64_t versioned_read_word(core::ThreadContext& tc, ManagedObject* o,
                                     uint64_t slot, const uint64_t* slotPtr) {
   maybe_poll(tc);
   const auto* aslot = reinterpret_cast<const std::atomic<uint64_t>*>(slotPtr);
-  if (!tc.txn.active()) return aslot->load(std::memory_order_relaxed);
-  core::LockWord* lp = o->locks.load(std::memory_order_acquire);
-  if (lp == nullptr) {  // (1) new in this transaction
-    tc.stats.checkNew++;
-    return aslot->load(std::memory_order_relaxed);
-  }
-  lp = locks_or_materialize(tc, o, lp);  // (2)
-  core::LockWord* word = lp + versioned_lock_index(o, slot);
+  core::LockWord* lp = lock_array(tc, o);
+  if (lp == nullptr) return aslot->load(std::memory_order_relaxed);
+  core::LockWord* word = lp + natural_lock_index(o, slot);
   auto* aw = reinterpret_cast<std::atomic<core::LockWord>*>(word);
   const core::LockWord v1 = aw->load(std::memory_order_acquire);
   if (!core::version_locked(v1) && core::version_of(v1) <= tc.txn.readVersion_ &&
@@ -115,14 +156,9 @@ inline std::atomic<uint64_t>* versioned_write_word(core::ThreadContext& tc,
                                                    uint64_t* slotPtr) {
   maybe_poll(tc);
   auto* aslot = reinterpret_cast<std::atomic<uint64_t>*>(slotPtr);
-  if (!tc.txn.active()) return aslot;
-  core::LockWord* lp = o->locks.load(std::memory_order_acquire);
-  if (lp == nullptr) {
-    tc.stats.checkNew++;
-    return aslot;  // new instance: no locking, no undo
-  }
-  lp = locks_or_materialize(tc, o, lp);
-  core::LockWord* word = lp + versioned_lock_index(o, slot);
+  core::LockWord* lp = lock_array(tc, o);
+  if (lp == nullptr) return aslot;  // new instance: no locking, no undo
+  core::LockWord* word = lp + natural_lock_index(o, slot);
   // The stamp granule and the undo granule coincide (one covered word),
   // so only the first acquisition needs to log — owned re-hits are
   // check-only even for byte-array blocks.
@@ -137,13 +173,8 @@ inline std::atomic<uint64_t>* versioned_write_word(core::ThreadContext& tc,
 // Returns after the read lock is held (or no lock is needed).
 inline void tx_lock_read(core::ThreadContext& tc, ManagedObject* o, uint64_t slot) {
   detail::maybe_poll(tc);
-  if (!tc.txn.active()) return;  // bootstrap / teardown code
-  core::LockWord* lp = o->locks.load(std::memory_order_acquire);
-  if (lp == nullptr) {  // (1) new in this transaction
-    tc.stats.checkNew++;
-    return;
-  }
-  lp = detail::locks_or_materialize(tc, o, lp);  // (2)
+  core::LockWord* lp = detail::lock_array(tc, o);
+  if (lp == nullptr) return;
   if (o->h.cls->lockMap.versioned()) {
     // Direct kLock callers (the IL interpreter) follow up with raw
     // non-atomic slot accesses (kGetFNl/kSetFNl) that an invisible
@@ -151,21 +182,13 @@ inline void tx_lock_read(core::ThreadContext& tc, ManagedObject* o, uint64_t slo
     // word exclusively. Undo is logged even for reads: a later owned
     // write hit then never needs a re-log.
     auto* vs = const_cast<uint64_t*>(detail::covered_word(o, slot));
-    if (core::LockEngine::versioned_acquire_write(
-            tc, o, lp + detail::versioned_lock_index(o, slot)))
+    if (core::LockEngine::versioned_acquire_write(tc, o, lp + natural_lock_index(o, slot)))
       tc.txn.log_undo(o, vs,
                       reinterpret_cast<std::atomic<uint64_t>*>(vs)->load(
                           std::memory_order_relaxed));
     return;
   }
-  core::LockWord* word = lp + lock_index(o, slot);
-  const core::LockWord w =
-      reinterpret_cast<std::atomic<core::LockWord>*>(word)->load(std::memory_order_acquire);
-  if (core::is_member(w, tc.txn.mask())) {  // (3) already locked by us
-    tc.stats.checkOwned++;
-    return;
-  }
-  core::LockEngine::acquire_read(tc, o, word);  // (4) acquire or enqueue
+  detail::read_lock_word(tc, o, lp + lock_index(o, slot));
 }
 
 // Ensures a write lock on `slot` of `o` and logs the old value for the
@@ -173,36 +196,16 @@ inline void tx_lock_read(core::ThreadContext& tc, ManagedObject* o, uint64_t slo
 inline void tx_lock_write(core::ThreadContext& tc, ManagedObject* o, uint64_t slot,
                           uint64_t* valueSlot) {
   detail::maybe_poll(tc);
-  if (!tc.txn.active()) return;
-  core::LockWord* lp = o->locks.load(std::memory_order_acquire);
-  if (lp == nullptr) {
-    tc.stats.checkNew++;
-    return;  // new instance: no locking, no undo (discarded on abort)
-  }
-  lp = detail::locks_or_materialize(tc, o, lp);  // (2)
+  core::LockWord* lp = detail::lock_array(tc, o);
+  if (lp == nullptr) return;  // new instance: no locking, no undo (discarded on abort)
   if (o->h.cls->lockMap.versioned()) {
-    if (core::LockEngine::versioned_acquire_write(
-            tc, o, lp + detail::versioned_lock_index(o, slot)))
+    if (core::LockEngine::versioned_acquire_write(tc, o, lp + natural_lock_index(o, slot)))
       tc.txn.log_undo(o, valueSlot,
                       reinterpret_cast<std::atomic<uint64_t>*>(valueSlot)->load(
                           std::memory_order_relaxed));
     return;
   }
-  core::LockWord* word = lp + lock_index(o, slot);
-  const core::LockWord w =
-      reinterpret_cast<std::atomic<core::LockWord>*>(word)->load(std::memory_order_acquire);
-  if (core::is_member(w, tc.txn.mask()) && core::has_writer(w)) {
-    tc.stats.checkOwned++;
-    // Identity map: an owned write lock implies THIS slot's old value
-    // was logged when the lock was acquired. Coarse maps break that
-    // implication (the word covers several slots), so log the slot on
-    // every owned hit — duplicates are safe, the undo replay is
-    // newest-first and re-applies the oldest value last.
-    if (!o->h.cls->lockMap.identity()) tc.txn.log_undo(o, valueSlot, *valueSlot);
-    return;
-  }
-  core::LockEngine::acquire_write(tc, o, word);
-  tc.txn.log_undo(o, valueSlot, *valueSlot);
+  detail::write_lock_word(tc, o, lp + lock_index(o, slot), valueSlot);
 }
 
 // --- Field access -----------------------------------------------------------
@@ -212,7 +215,7 @@ inline uint64_t tx_read(core::ThreadContext& tc, ManagedObject* o, uint32_t slot
   SBD_DCHECK(!o->h.cls->slot_is_final(slot));
   if (o->h.cls->lockMap.versioned())
     return detail::versioned_read_word(tc, o, slot, &o->slots()[slot]);
-  tx_lock_read(tc, o, slot);
+  detail::locking_read(tc, o, slot);
   return o->slots()[slot];
 }
 
@@ -225,7 +228,7 @@ inline void tx_write(core::ThreadContext& tc, ManagedObject* o, uint32_t slot,
         ->store(v, std::memory_order_relaxed);
     return;
   }
-  tx_lock_write(tc, o, slot, &o->slots()[slot]);
+  detail::locking_write(tc, o, slot, &o->slots()[slot]);
   o->slots()[slot] = v;
 }
 
@@ -259,7 +262,7 @@ inline uint64_t tx_read_elem(core::ThreadContext& tc, ManagedObject* a, uint64_t
   SBD_DCHECK(a->is_array() && idx < a->array_length());
   if (a->h.cls->lockMap.versioned())
     return detail::versioned_read_word(tc, a, idx, &a->array_data()[idx]);
-  tx_lock_read(tc, a, idx);
+  detail::locking_read(tc, a, idx);
   return a->array_data()[idx];
 }
 
@@ -271,7 +274,7 @@ inline void tx_write_elem(core::ThreadContext& tc, ManagedObject* a, uint64_t id
         ->store(v, std::memory_order_relaxed);
     return;
   }
-  tx_lock_write(tc, a, idx, &a->array_data()[idx]);
+  detail::locking_write(tc, a, idx, &a->array_data()[idx]);
   a->array_data()[idx] = v;
 }
 
@@ -282,6 +285,67 @@ inline uint64_t tx_read_elem(ManagedObject* a, uint64_t idx) {
 inline void tx_write_elem(ManagedObject* a, uint64_t idx, uint64_t v) {
   tx_write_elem(core::tls_context(), a, idx, v);
 }
+
+// --- Section-scoped array read views -----------------------------------------
+//
+// The native-API spelling of the IL's redundant-check elimination and
+// loop hoisting (il/opt.h, O1+O2): check once per section, not once per
+// element.
+
+// Range form of the Fig. 5 read check: takes exactly the read locks that
+// per-element reads of a[lo, hi) would take, through the same engine and
+// in index order (one word under the object map), counting words already
+// held as owned checks, and polls the safepoint once. Returns false under
+// a versioned map, where it locks nothing: the caller must then read each
+// element through tx_read_elem, so every invisible read is still
+// validated (a hoisted raw load would skip the per-read stamp check that
+// gives opacity).
+inline bool tx_lock_read_range(core::ThreadContext& tc, ManagedObject* a, uint64_t lo,
+                               uint64_t hi) {
+  SBD_DCHECK(a->is_array() && lo <= hi && hi <= a->array_length());
+  core::Safepoint::poll(tc);
+  if (a->h.cls->lockMap.versioned()) return false;
+  if (lo == hi) return true;
+  core::LockWord* lp = detail::lock_array(tc, a);
+  if (lp == nullptr) return true;
+  const uint32_t last = lock_index(a, hi - 1);
+  for (uint32_t i = lock_index(a, lo); i <= last; i++) detail::read_lock_word(tc, a, lp + i);
+  return true;
+}
+
+// A read view of a[lo, hi) of a 64-bit-element array, locked once at
+// creation by tx_lock_read_range; operator[] is then a plain load. Valid
+// until the section's next split, commit or abort: create it after the
+// split that starts its section, so an abort replay creates it again
+// (Debug builds check the thread's section epoch on every read). The
+// view holds the array pointer, which the conservative GC scan finds.
+// Under a versioned map every read goes through tx_read_elem.
+template <typename T>
+class ArrayReadView {
+  static_assert(sizeof(T) == sizeof(uint64_t));
+
+ public:
+  ArrayReadView(core::ThreadContext& tc, ManagedObject* a, uint64_t lo, uint64_t hi)
+      : a_(a), tc_(&tc), lo_(lo), hi_(hi) {
+    SBD_DCHECK(a->h.cls->elemKind != ElemKind::kI8);
+    direct_ = tx_lock_read_range(tc, a, lo, hi);
+    epoch_ = tc.sectionEpoch;
+  }
+
+  T operator[](uint64_t i) const {
+    SBD_DCHECK(tc_->sectionEpoch == epoch_ && i >= lo_ && i < hi_);
+    if (direct_) [[likely]]
+      return std::bit_cast<T>(a_->array_data()[i]);
+    return std::bit_cast<T>(tx_read_elem(*tc_, a_, i));
+  }
+
+ private:
+  ManagedObject* a_;
+  core::ThreadContext* tc_;
+  uint64_t lo_, hi_;
+  uint64_t epoch_ = 0;
+  bool direct_ = false;
+};
 
 inline int8_t tx_read_i8(core::ThreadContext& tc, ManagedObject* a, uint64_t idx) {
   SBD_DCHECK(a->is_array() && a->h.cls->elemKind == ElemKind::kI8 &&
@@ -296,7 +360,7 @@ inline int8_t tx_read_i8(core::ThreadContext& tc, ManagedObject* a, uint64_t idx
     std::memcpy(&b, reinterpret_cast<const char*>(&w) + (idx % kI8LockStride), 1);
     return b;
   }
-  tx_lock_read(tc, a, idx);
+  detail::locking_read(tc, a, idx);
   return a->array_data_i8()[idx];
 }
 
@@ -317,7 +381,7 @@ inline void tx_write_i8(core::ThreadContext& tc, ManagedObject* a, uint64_t idx,
         ->store(v, std::memory_order_relaxed);
     return;
   }
-  tx_lock_write(tc, a, idx, wordSlot);
+  detail::locking_write(tc, a, idx, wordSlot);
   a->array_data_i8()[idx] = v;
 }
 

@@ -19,20 +19,10 @@ uint32_t natural_lock_count(const ManagedObject* o) {
   return static_cast<uint32_t>(len);
 }
 
-uint32_t natural_lock_index(const ManagedObject* o, uint64_t slot) {
-  if (o->h.cls->isArray && o->h.cls->elemKind == ElemKind::kI8)
-    return static_cast<uint32_t>(slot / kI8LockStride);
-  return static_cast<uint32_t>(slot);
-}
-
 }  // namespace
 
 uint32_t lock_count(const ManagedObject* o) {
   return o->h.cls->lockMap.width(natural_lock_count(o));
-}
-
-uint32_t lock_index(const ManagedObject* o, uint64_t slot) {
-  return o->h.cls->lockMap.index(natural_lock_index(o, slot));
 }
 
 core::LockWord* materialize_locks(ManagedObject* o) {

@@ -75,9 +75,20 @@ static_assert(sizeof(ManagedObject) == 24, "layout assumption of the lock fast p
 // block). Under the default field map this is the natural count.
 uint32_t lock_count(const ManagedObject* o);
 
+// Natural (pre-LockMap) lock index of `slot`: the slot itself, byte
+// arrays one per 64-byte block.
+inline uint32_t natural_lock_index(const ManagedObject* o, uint64_t slot) {
+  if (o->h.cls->isArray && o->h.cls->elemKind == ElemKind::kI8)
+    return static_cast<uint32_t>(slot / kI8LockStride);
+  return static_cast<uint32_t>(slot);
+}
+
 // Lock-word index covering `slot` (field index or array element
-// index): the class's LockMap image of the natural index.
-uint32_t lock_index(const ManagedObject* o, uint64_t slot);
+// index): the class's LockMap image of the natural index. Inline: it
+// sits on every owned check of the Fig. 5 fast path.
+inline uint32_t lock_index(const ManagedObject* o, uint64_t slot) {
+  return o->h.cls->lockMap.index(natural_lock_index(o, slot));
+}
 
 // Lazily allocates the lock structure of `o` (paper Fig. 5 step 2).
 // Returns the winning pointer; increments the Table 8 "Locks" gauge.

@@ -59,6 +59,11 @@ class I64Array : public TypedRef<I64Array> {
   void set(core::ThreadContext& tc, uint64_t i, int64_t v) {
     tx_write_elem(tc, o_, i, static_cast<uint64_t>(v));
   }
+  // Section-scoped view of [lo, hi): read-locked once, plain loads after
+  // (ArrayReadView in field_access.h).
+  ArrayReadView<int64_t> read_view(core::ThreadContext& tc, uint64_t lo, uint64_t hi) const {
+    return ArrayReadView<int64_t>(tc, o_, lo, hi);
+  }
   void init_set(uint64_t i, int64_t v) { init_write_elem(o_, i, static_cast<uint64_t>(v)); }
   static ClassInfo* klass() { return array_class(ElemKind::kI64); }
 };
@@ -91,6 +96,9 @@ class F64Array : public TypedRef<F64Array> {
     uint64_t bits;
     __builtin_memcpy(&bits, &v, 8);
     tx_write_elem(tc, o_, i, bits);
+  }
+  ArrayReadView<double> read_view(core::ThreadContext& tc, uint64_t lo, uint64_t hi) const {
+    return ArrayReadView<double>(tc, o_, lo, hi);
   }
   static ClassInfo* klass() { return array_class(ElemKind::kF64); }
 };

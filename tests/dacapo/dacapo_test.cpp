@@ -64,9 +64,20 @@ TEST(Dacapo, SunflowChecksumsMatch) {
   const auto base = b.baseline(tiny(), 2);
   const auto sbdr = b.sbd(tiny(), 2);
   EXPECT_EQ(base.checksum, sbdr.checksum);
-  // Sunflow's profile: many lock inits + owned checks (Table 7).
   EXPECT_GT(sbdr.stm.lockInit, 0u);
-  EXPECT_GT(repeat_reads(sbdr), sbdr.stm.acqRls);
+  // Each tile section reads the scene through array read views (the
+  // hand-hoisted form of the per-ray checks), so under the field map the
+  // per-ray owned checks are gone, while under versioned every scene
+  // read still goes through the invisible-read path. (Under the object
+  // map the framebuffer's single word turns pixel writes into owned
+  // checks, so the counts say nothing about the scene reads there.)
+  const runtime::LockMap map = runtime::process_lock_map();
+  if (map.versioned()) {
+    EXPECT_GT(sbdr.stm.versionedReads, sbdr.stm.acqRls);
+  }
+  if (map.identity()) {
+    EXPECT_LT(sbdr.stm.checkOwned, sbdr.stm.acqRls);
+  }
 }
 
 TEST(Dacapo, H2ChecksumsMatchSingleThreaded) {

@@ -102,6 +102,11 @@ TEST(LockPool, SweepReturnsArraysToPoolForReuse) {
 
 TEST(LockPool, HugeArraysBypassThePoolButKeepTheGaugeExact) {
   // 300k elements -> 300k lock words, far over the 1024-word pool cap.
+  // Collect first: an earlier test's lock array, still pinned by a stale
+  // stack word, would otherwise be swept during this test and leave the
+  // gauge below its baseline.
+  Heap::instance().collect();
+  Heap::instance().collect();
   const uint64_t before = locks_gauge();
   run_sbd([&] {
     I64Array big = I64Array::make(300000);
