@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       "\nShape check: with independent devices the wrapper variant overlaps I/O\n"
       "sections; the inevitable variant serializes them on the single token —\n"
       "the scalability argument for transactional wrappers in the paper's 3.4.\n"
-      "(On a 1-core host the wall-clock gap narrows; the token count shows the\n"
-      "serialization directly.)\n");
+      "(With more threads than cores the wall-clock gap narrows; the token count\n"
+      "shows the serialization directly.)\n");
   return 0;
 }

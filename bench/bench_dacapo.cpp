@@ -2,10 +2,8 @@
 //
 // Runs the SBD variant of each of the six analogs once (LuIndex with its
 // fixed thread pair, everything else at --threads) and reports, per
-// benchmark: wall seconds, the virtual-time makespan at --threads ideal
-// cores (the makespan is the host-independent number CI trends against
-// BENCH_dacapo.json), the Table 7 lock-operation counters, and the
-// Table 8 "Locks" gauge delta. The lock counters are what the lock
+// benchmark: wall seconds, the Table 7 lock-operation counters, and
+// the Table 8 "Locks" gauge delta. The lock counters are what the lock
 // granularity ablation (docs/EXPERIMENTS.md) compares across
 // SBD_LOCK_GRANULARITY modes: coarser maps shrink acqRls because one
 // mapped word covers several slots.
@@ -17,7 +15,6 @@
 #include "dacapo/harness.h"
 #include "runtime/class_info.h"
 #include "runtime/heap.h"
-#include "vtm/vtm.h"
 
 int main(int argc, char** argv) {
   SBD_ATTACH_THREAD();
@@ -30,13 +27,11 @@ int main(int argc, char** argv) {
 
   std::printf("=== DaCapo analogs (sbd variant, scale %.2f, %d threads, %s) ===\n\n",
               scale.factor, threads, runtime::process_lock_map().to_string());
-  TextTable t({"Benchmark", "Wall[s]", "Model[s]", "AcqRls", "Owned", "New",
-               "LockBytes"});
+  TextTable t({"Benchmark", "Wall[s]", "AcqRls", "Owned", "New", "LockBytes"});
 
   struct Row {
     std::string name;
     dacapo::RunResult r;
-    double makespan = 0;
   };
   std::vector<Row> rows;
   for (auto& b : dacapo::all_benchmarks()) {
@@ -45,9 +40,7 @@ int main(int argc, char** argv) {
     Row row;
     row.name = b.name;
     row.r = b.sbd(scale, thr);
-    row.makespan = vtm::estimate(row.r.vtm, thr).makespanSeconds;
     t.add_row({row.name, TextTable::fmt(row.r.seconds, 3),
-               TextTable::fmt(row.makespan, 3),
                std::to_string(row.r.stm.acqRls),
                std::to_string(row.r.stm.checkOwned),
                std::to_string(row.r.stm.checkNew),
@@ -71,13 +64,13 @@ int main(int argc, char** argv) {
       const auto& row = rows[i];
       std::fprintf(
           f,
-          "    \"%s\": {\"wall_s\": %.4f, \"vtm_makespan_s\": %.4f, "
+          "    \"%s\": {\"wall_s\": %.4f, "
           "\"checksum\": %llu, \"acq_rls\": %llu, \"check_owned\": %llu, "
           "\"check_new\": %llu, \"lock_init\": %llu, \"commits\": %llu, "
           "\"aborts\": %llu, \"versioned_reads\": %llu, "
           "\"validations\": %llu, \"version_aborts\": %llu, "
           "\"lock_struct_bytes\": %llu, \"version_word_bytes\": %llu}%s\n",
-          row.name.c_str(), row.r.seconds, row.makespan,
+          row.name.c_str(), row.r.seconds,
           static_cast<unsigned long long>(row.r.checksum),
           static_cast<unsigned long long>(row.r.stm.acqRls),
           static_cast<unsigned long long>(row.r.stm.checkOwned),

@@ -1,12 +1,13 @@
 // Table 9 — SBD overhead vs explicit locking across thread counts,
 // plus the conflict counters (abort rate, contended acquires, CAS
-// failures).
+// failures), and Figure 7 — scalability — from the same runs: each
+// variant's speedup over its own single-threaded time, base(1)/base(T)
+// and sbd(1)/sbd(T) (LuIndex excluded: fixed threads, as in the paper).
 //
-// Host note: this machine may have far fewer cores than the paper's
-// 32-core Xeon; wall-clock times then time-share one core and the
-// OVERHEAD column (SBD time / baseline time at the same thread count)
-// remains the meaningful, reproducible quantity. Scalability proper is
-// bench_fig7_scalability.
+// Host note: the paper used a 32-core Xeon. Once the thread count
+// exceeds the host's cores the threads time-share, so the speedup
+// columns flatten there by physics; the OVERHEAD column (SBD time /
+// baseline time at the same thread count) stays comparable.
 #include <cmath>
 #include <cstdio>
 
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Table 9: overhead of SBD vs explicit locking ===\n\n");
   TextTable t({"Benchm.", "Thr.", "Base[s]", "Sbd[s]", "Ovr.[%]", "Abr.[%]", "Con.",
-               "Fail."});
+               "Fail.", "Base x", "Sbd x"});
   std::vector<double> overheads;
   for (auto& b : dacapo::all_benchmarks()) {
     std::vector<int> threadCounts;
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
     } else {
       for (int n = 1; n <= maxThreads; n *= 2) threadCounts.push_back(n);
     }
+    double base1 = 0, sbd1 = 0;  // the single-threaded times (Fig. 7)
     for (int threads : threadCounts) {
       double baseBest = 1e30, sbdBest = 1e30;
       dacapo::RunResult sbdLast;
@@ -57,6 +59,10 @@ int main(int argc, char** argv) {
           sbdBest = std::min(sbdBest, sbdLast.seconds);
         }
       }
+      if (threads == 1) {
+        base1 = baseBest;
+        sbd1 = sbdBest;
+      }
       const double ovr = baseBest > 0 ? (sbdBest / baseBest - 1) * 100 : 0;
       overheads.push_back(sbdBest / (baseBest > 0 ? baseBest : 1));
       const double abr = sbdLast.stm.commits
@@ -66,7 +72,9 @@ int main(int argc, char** argv) {
       t.add_row({b.name, std::to_string(threads), TextTable::fmt(baseBest, 3),
                  TextTable::fmt(sbdBest, 3), TextTable::fmt(ovr, 1),
                  TextTable::fmt(abr, 1), std::to_string(sbdLast.stm.contendedAcquires),
-                 std::to_string(sbdLast.stm.casFailures)});
+                 std::to_string(sbdLast.stm.casFailures),
+                 b.fixedThreads ? "-" : TextTable::fmt(base1 / baseBest, 2),
+                 b.fixedThreads ? "-" : TextTable::fmt(sbd1 / sbdBest, 2)});
     }
   }
   t.print();
@@ -78,6 +86,10 @@ int main(int argc, char** argv) {
   std::printf(
       "Shape check (paper Table 9): H2 lowest overhead (DB-bound), Sunflow\n"
       "highest (~2x, memory-bound), the rest in between; conflict counters\n"
-      "grow with threads but abort rates stay near zero except Sunflow.\n");
+      "grow with threads but abort rates stay near zero except Sunflow.\n"
+      "Shape check (paper Fig. 7, Base x / Sbd x): up to the host's core count\n"
+      "Sunflow/PMD/H2 scale similarly in both variants; LuSearch and Tomcat\n"
+      "fall behind at high thread counts (GC pressure and the 56-transaction-id\n"
+      "ceiling respectively).\n");
   return 0;
 }

@@ -223,12 +223,6 @@ void set_full_trace(bool on) {
 
 void set_lossless(bool on) { detail::gLossless.store(on, std::memory_order_release); }
 
-uint64_t next_commit_seq() {
-  // One clock for commit seqs AND versioned stamps (core/transaction.h):
-  // a stamp on a versioned word is the commit seq of its writer.
-  return core::advance_version_clock();
-}
-
 const char* event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::kBlocked: return "blocked";

@@ -137,15 +137,6 @@ inline bool full_trace() { return detail::gFullTrace.load(std::memory_order_rela
 void set_lossless(bool on);
 inline bool lossless() { return detail::gLossless.load(std::memory_order_relaxed); }
 
-// Draws the next global commit sequence number (first call returns 1).
-// commit_section draws it while every lock is still held, so the
-// per-lock release->acquire order implies commit-sequence order — the
-// linearization fact the oracle verifies. Since the versioned-
-// granularity work this delegates to core::advance_version_clock():
-// commit seqs and version stamps are the SAME counter, so a stamp on a
-// versioned word IS the commit seq of the write that produced it.
-uint64_t next_commit_seq();
-
 // True on every kDurationSamplePeriod-th call per thread while enabled;
 // callers bracket their duration measurement with it.
 inline bool sample_duration() {

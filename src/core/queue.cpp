@@ -362,9 +362,12 @@ ParkResult ParkingLot::park_keyed(const void* key, BlockedFn blocked, const void
     std::lock_guard<std::mutex> lk(b.mu);
     b.keyedCount.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!blocked(ctx) || now_nanos() >= deadlineNanos) {
+    // One recheck decides: a second read could see another thread's
+    // change and report a timeout before the deadline.
+    const bool stillBlocked = blocked(ctx);
+    if (!stillBlocked || now_nanos() >= deadlineNanos) {
       b.keyedCount.fetch_sub(1, std::memory_order_relaxed);
-      return blocked(ctx) ? ParkResult::kTimedOut : ParkResult::kNotBlocked;
+      return stillBlocked ? ParkResult::kTimedOut : ParkResult::kNotBlocked;
     }
     link_locked(b, n);
   }

@@ -122,8 +122,6 @@ void TxnManager::register_thread(ThreadContext* tc) {
 void TxnManager::unregister_thread(ThreadContext* tc) {
   std::lock_guard<std::mutex> lk(registryMu_);
   retired_.add(tc->stats);
-  retiredWork_.push_back(RetiredWork{tc->uid, tc->busyNanosCommitted,
-                                     tc->abortedWorkNanos, tc->blockedNanos});
   for (auto it = threads_.begin(); it != threads_.end(); ++it) {
     if (*it == tc) {
       threads_.erase(it);
@@ -145,13 +143,7 @@ StatsCounters TxnManager::snapshot_stats() {
 
 namespace {
 
-void account_section_end(ThreadContext& tc, bool committed) {
-  const uint64_t now = now_nanos();
-  const uint64_t busy = now - tc.sectionStartNanos - tc.sectionBlockedNanos;
-  if (committed)
-    tc.busyNanosCommitted += busy;
-  else
-    tc.abortedWorkNanos += busy;
+void sample_footprint(ThreadContext& tc) {
   tc.stats.rwSetBytesSum += tc.txn.rw_set_bytes();
   tc.stats.bufferBytesSum += tc.txn.buffer_bytes();
   tc.stats.initLogBytesSum += tc.txn.init_log_bytes();
@@ -170,8 +162,6 @@ void clear_section_state(ThreadContext& tc) {
   tc.txn.hasVersionedWrite_ = false;
   tc.txn.clear_abort_request();
   tc.txn.set_inevitable(false);
-  tc.sectionStartNanos = now_nanos();
-  tc.sectionBlockedNanos = 0;
 }
 
 // How long one id-pool wait slice lasts before the wait is reported as
@@ -224,7 +214,7 @@ void checkpoint_section(ThreadContext& tc) {
   if (tc.engine.take(tc.sectionStart) == CheckpointResult::kRestored) {
     // Re-arrived after abort_and_restart: logs were already cleared and
     // locks released by the abort path; restore the off-stack scope
-    // depths to their checkpoint-time values and reset timing.
+    // depths to their checkpoint-time values.
     tc.canSplitDepth = tc.ckCanSplitDepth;
     tc.noSplitDepth = tc.ckNoSplitDepth;
     tc.allowSplitArmed = tc.ckAllowSplitArmed;
@@ -232,8 +222,6 @@ void checkpoint_section(ThreadContext& tc) {
     // The abort path cleared the section state before the backoff sleep;
     // refresh the read snapshot so the retry does not start pre-staled.
     tc.txn.readVersion_ = version_clock();
-    tc.sectionStartNanos = now_nanos();
-    tc.sectionBlockedNanos = 0;
   }
 }
 
@@ -265,7 +253,7 @@ void commit_section_sampled(ThreadContext& tc, bool sampled) {
   const uint64_t traceStart = sampled ? now_nanos() : 0;
   // 0. Sample the transaction footprint BEFORE resources flush their
   //    buffers (Table 8 accounting measures the section's peak state).
-  account_section_end(tc, /*committed=*/true);
+  sample_footprint(tc);
   // 1. Apply deferred external effects while memory locks are held, so a
   //    successor section acquiring our locks observes them (§3.4).
   for (TxResource* r : tc.txn.resources_) r->on_commit();
@@ -352,7 +340,7 @@ void end_final_section(ThreadContext& tc) {
 
 void abort_and_restart(ThreadContext& tc) {
   SBD_CHECK(tc.txn.active());
-  account_section_end(tc, /*committed=*/false);  // sample before buffers drop
+  sample_footprint(tc);  // before buffers drop
   // 1. Discard deferred external effects and rearm replay buffers.
   for (auto it = tc.txn.resources_.rbegin(); it != tc.txn.resources_.rend(); ++it)
     (*it)->on_abort();
@@ -465,14 +453,12 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
   // acquisition that never happened.
   auto finish_blocked_accounting = [&](bool granted) {
     tc.lockWaitSinceNanos.store(0, std::memory_order_release);
-    const uint64_t dt = now_nanos() - blockStart;
-    tc.blockedNanos += dt;
-    tc.sectionBlockedNanos += dt;
     // The granted event carries the wait latency, so the trace answers
     // "how long did this lock make us wait", not only "how often".
     if (granted) {
       obs::record_lock_event(obs::EventKind::kGranted, myId, -1, obj, word,
-                             wantWrite || upgrader, dt, tc.txn.start_seq());
+                             wantWrite || upgrader, now_nanos() - blockStart,
+                             tc.txn.start_seq());
       // Full trace: every grant path funnels through here, and each one
       // records AFTER its successful CAS — so the acquire event is
       // ordered after the matching release on the same word.

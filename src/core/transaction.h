@@ -223,13 +223,6 @@ struct ThreadContext {
   // that created it.
   uint64_t sectionEpoch = 0;
 
-  // Virtual-time accounting (Figure 7 on the 1-core host).
-  uint64_t blockedNanos = 0;
-  uint64_t busyNanosCommitted = 0;
-  uint64_t abortedWorkNanos = 0;
-  uint64_t sectionStartNanos = 0;
-  uint64_t sectionBlockedNanos = 0;
-
   // The instance this thread's parked lock wait pins (GC root; the
   // word pointer itself lives in txn.waiting_on()).
   runtime::ManagedObject* waitingObj = nullptr;
@@ -288,23 +281,6 @@ class TxnManager {
   }
 
   StatsCounters snapshot_stats();
-  // Zeroes the aggregate baseline so the next snapshot measures a window.
-  StatsCounters retired_stats_unlocked() const { return retired_; }
-
-  // Finished threads' interval accounting, kept so the virtual-time
-  // model still sees workers that were joined before the measurement
-  // window closed.
-  struct RetiredWork {
-    uint64_t uid;
-    uint64_t busyNanos;
-    uint64_t abortedNanos;
-    uint64_t blockedNanos;
-  };
-  template <typename Fn>
-  void for_each_retired_work(Fn&& fn) {
-    std::lock_guard<std::mutex> lk(registryMu_);
-    for (const RetiredWork& w : retiredWork_) fn(w);
-  }
 
  private:
   TxnManager() = default;
@@ -317,7 +293,6 @@ class TxnManager {
   std::mutex registryMu_;
   std::vector<ThreadContext*> threads_;
   StatsCounters retired_;
-  std::vector<RetiredWork> retiredWork_;
   std::atomic<uint64_t> uidGen_{1};
 };
 

@@ -7,7 +7,6 @@ namespace sbd::dacapo {
 RunResult measure_sbd_run(const std::function<uint64_t()>& run) {
   auto& mgr = core::TxnManager::instance();
   const auto statsBefore = mgr.snapshot_stats();
-  const auto vtmBefore = vtm::snapshot_all_threads();
   const uint64_t locksBefore = core::gauges().lockStructBytes.load();
   const uint64_t stampsBefore = core::gauges().versionWordBytes.load();
   Stopwatch sw;
@@ -16,7 +15,6 @@ RunResult measure_sbd_run(const std::function<uint64_t()>& run) {
   r.seconds = sw.seconds();
   r.checksum = checksum;
   r.stm = mgr.snapshot_stats().diff(statsBefore);
-  r.vtm = vtm::diff(vtm::snapshot_all_threads(), vtmBefore);
   const uint64_t locksAfter = core::gauges().lockStructBytes.load();
   r.lockStructBytes = locksAfter > locksBefore ? locksAfter - locksBefore : 0;
   const uint64_t stampsAfter = core::gauges().versionWordBytes.load();

@@ -11,8 +11,8 @@
 //
 // The harness measures steady-state time (Georges et al., as in the
 // paper's §5.1), collects the STM per-effect counters (Table 7), the
-// transaction-footprint gauges (Table 8), conflict counters (Table 9),
-// and the virtual-time model inputs (Figure 7 on a small host).
+// transaction-footprint gauges (Table 8) and conflict counters
+// (Table 9).
 #pragma once
 
 #include <functional>
@@ -21,7 +21,6 @@
 
 #include "common/timing.h"
 #include "core/stats.h"
-#include "vtm/vtm.h"
 
 namespace sbd::dacapo {
 
@@ -40,7 +39,6 @@ struct RunResult {
   double seconds = 0;
   uint64_t checksum = 0;
   core::StatsCounters stm;      // SBD variant only (diff over the run)
-  vtm::ModelInput vtm;          // SBD variant only
   uint64_t lockStructBytes = 0;  // gauge delta (Table 8 "Locks")
   uint64_t versionWordBytes = 0; // gauge delta (Table 8 "VersionWords")
 };
@@ -76,7 +74,7 @@ Benchmark sunflow_benchmark();
 Benchmark h2_benchmark();
 Benchmark tomcat_benchmark();
 
-// Runs `run` with STM/vtm accounting wrapped around it.
+// Runs `run` with STM accounting wrapped around it.
 RunResult measure_sbd_run(const std::function<uint64_t()>& run);
 RunResult measure_baseline_run(const std::function<uint64_t()>& run);
 

@@ -98,15 +98,6 @@ const Schema& Database::schema(const std::string& name) const {
   return it->second->schema;
 }
 
-size_t Database::total_rows() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  size_t n = 0;
-  for (const auto& [name, td] : tables_)
-    for (size_t i = 0; i < td->rows.size(); i++)
-      if (td->alive[i]) n++;
-  return n;
-}
-
 namespace {
 
 // Whether `mode` is compatible with what OTHER transactions hold:

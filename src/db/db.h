@@ -135,9 +135,6 @@ class Database {
   // Row-lock wait timeout before declaring a deadlock.
   void set_lock_timeout_ms(int ms) { lockTimeoutMs_ = ms; }
 
-  // Total committed row count across tables (tests/stats).
-  size_t total_rows() const;
-
  private:
   friend class Connection;
 

@@ -116,7 +116,6 @@ struct ClassInfo {
   LockMap lockMap;
 
   bool slot_is_final(uint32_t slot) const { return (finalMask >> slot) & 1; }
-  bool slot_is_ref(uint32_t slot) const { return (refMask >> slot) & 1; }
 };
 
 // Registers a class. Must happen before any instance is allocated;

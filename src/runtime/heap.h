@@ -111,7 +111,6 @@ class Heap {
                            uint64_t arrayLength, bool isArray);
   std::byte* allocate_block(size_t size);       // heapMu_ must be held
   Chunk* chunk_of(const void* p);               // heapMu_ or stopped world
-  void maybe_collect_locked_exit(std::unique_lock<std::mutex>& lk);
 
   void mark_from_roots();
   void mark_object(ManagedObject* o);

@@ -24,16 +24,6 @@ inline void static_write_i64(ClassInfo* cls, uint32_t slot, int64_t v) {
   tx_write(cls->statics, slot, static_cast<uint64_t>(v));
 }
 
-template <typename RefT>
-RefT static_read_ref(ClassInfo* cls, uint32_t slot) {
-  return RefT(reinterpret_cast<ManagedObject*>(tx_read(cls->statics, slot)));
-}
-
-template <typename RefT>
-void static_write_ref(ClassInfo* cls, uint32_t slot, RefT v) {
-  tx_write(cls->statics, slot, reinterpret_cast<uint64_t>(v.raw()));
-}
-
 // Static-initialization guard. `guardSlot` must be a dedicated static
 // i64 slot of `cls` (0 = uninitialized, 1 = initialized). The guard
 // performs the check-and-run transactionally: the write lock on the

@@ -30,7 +30,6 @@ class InvertedIndex {
   const std::vector<Posting>* postings(const std::string& term) const;
   uint32_t doc_count() const { return static_cast<uint32_t>(docLens_.size()); }
   uint64_t doc_length(uint32_t docId) const;
-  size_t term_count() const { return postings_.size(); }
 
   // TF-IDF top-k disjunctive query.
   std::vector<SearchHit> search(const std::vector<std::string>& terms, int k) const;

@@ -252,6 +252,21 @@ TEST(KeyedPark, NotBlockedReturnsAtOnceAndDeadlineTimesOut) {
   EXPECT_EQ(lot.parked_on(&key), 0u) << "a timed-out waiter unlinks itself";
 }
 
+// The recheck under the bucket lock decides the result. Here it reads
+// "not blocked" (the first, lock-free check read "blocked" so the park
+// reached the lock) and every later read says "blocked", as when another
+// thread takes a freed id right after the recheck: with no deadline the
+// park must report kNotBlocked, never kTimedOut.
+TEST(KeyedPark, RecheckUnderTheBucketLockDecidesTheResult) {
+  auto& lot = ParkingLot::instance();
+  static int key;
+  int calls = 0;
+  const auto blocked = [&calls] { return ++calls != 2; };
+  EXPECT_EQ(lot.park(&key, blocked, 0, kNoDeadline), ParkResult::kNotBlocked);
+  EXPECT_EQ(calls, 2) << "one lock-free check, one recheck under the lock";
+  EXPECT_EQ(lot.parked_on(&key), 0u);
+}
+
 // Three waiters park on one key; unpark_one wakes them one at a time in
 // arrival order, and only the waiters of that key.
 TEST(KeyedPark, UnparkOneWakesInFifoOrderAndUnparkAllTheRest) {

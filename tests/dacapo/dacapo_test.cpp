@@ -131,13 +131,5 @@ TEST(Dacapo, EffortReportsPopulated) {
   }
 }
 
-TEST(Dacapo, SbdRunsProduceVtmInput) {
-  auto b = pmd_benchmark();
-  const auto r = b.sbd(tiny(), 2);
-  uint64_t busy = 0;
-  for (const auto& t : r.vtm.threads) busy += t.busyNanos;
-  EXPECT_GT(busy, 0u);
-}
-
 }  // namespace
 }  // namespace sbd::dacapo
