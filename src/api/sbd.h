@@ -17,7 +17,6 @@
 #pragma once
 
 #include "common/check.h"
-#include "core/obs.h"
 #include "core/transaction.h"
 #include "runtime/field_access.h"
 #include "runtime/heap.h"
@@ -110,23 +109,6 @@ void on_commit(Fn&& action) {
   else
     action();
 }
-
-// --- Tracing / oracle controls (core/obs) -----------------------------------
-namespace trace {
-
-// Contention + lifecycle tracing (kBlocked/kGranted/kDeadlock/...).
-inline void set_enabled(bool on) { obs::set_enabled(on); }
-
-// Full lock trace (kAcquire/kRelease/kCommitOrder) — the input of the
-// sbd::oracle happens-before checker (tools/sbd_oracle). Implies
-// set_enabled(true).
-inline void set_full(bool on) { obs::set_full_trace(on); }
-
-// Block-on-overflow recording for complete traces; requires a
-// concurrent obs::drain() loop on a non-SBD thread.
-inline void set_lossless(bool on) { obs::set_lossless(on); }
-
-}  // namespace trace
 
 // Re-exports for user code.
 using runtime::ByteArray;

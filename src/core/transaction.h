@@ -186,7 +186,7 @@ struct ThreadContext {
   ThreadContext();
   ~ThreadContext();
 
-  uint64_t uid = 0;  // stable identity for interval accounting
+  uint64_t uid = 0;  // stable identity; the watchdog keys its stall records by it
 
   Transaction txn;
   CheckpointEngine engine;

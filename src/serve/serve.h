@@ -41,8 +41,8 @@
 // kServeAcceptFail (connection torn down before the server sees it,
 // ECONNABORTED-style), kServeWriteShort (response cut off mid-write,
 // connection dropped). All three must leave the conservation invariant
-// and the latency SLO gate intact — bench/bench_serve.cpp measures
-// exactly that.
+// intact — tests/serve/serve_test.cpp checks each under concurrent
+// transfers.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,8 @@
 // End-to-end tests for the sbd::serve scenario: keep-alive request
 // sequences, concurrent clients with the conservation invariant,
 // injected faults mid-flight, and drain-on-shutdown. Clients here are
-// plain threads speaking HTTP over the loopback network — exactly what
-// bench_serve does, minus the load.
+// plain threads speaking HTTP over the loopback network, as
+// sbd_bench's serve workloads do under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,10 +29,8 @@ std::atomic<int> gNextPort{9100};
 
 struct Client {
   net::Socket sock;
-  int port;
 
-  explicit Client(int p) : port(p) { redial(); }
-  void redial() { sock = net::Network::instance().connect(port, 2000); }
+  explicit Client(int port) : sock(net::Network::instance().connect(port, 2000)) {}
 
   // Sends one request; returns the response status, or -1 if the
   // connection died (reset/short write).
@@ -161,30 +159,34 @@ TEST(Serve, ConcurrentClientsConserveTotalBalance) {
   EXPECT_EQ(total_balance(f.db), 8 * 1000);
 }
 
-TEST(Serve, SocketResetMidFlightLeavesInvariantsIntact) {
-  ServerFixture f(/*workers=*/4, /*accounts=*/8, /*balance=*/1000);
-  fault::PlanScope scope(fault::single_site(fault::Site::kSocketReset, 0.05, 7));
-  constexpr int kClients = 4, kRequests = 30;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kClients; t++) {
-    threads.emplace_back([&, t] {
-      Client c(f.cfg.port);
-      for (int i = 0; i < kRequests; i++) {
-        const int st = c.request("POST", "/txfer",
-                                 "from=" + std::to_string((t + i) % 8) +
-                                     "&to=" + std::to_string((t + i + 1) % 8) +
-                                     "&amount=1");
-        if (st < 0) {  // connection reset: re-dial and carry on
+// Every serve-visible fault site, armed at 5% in turn. Socket resets
+// and accept failures fire per connection, so each request dials a
+// fresh one; a dead connection answers -1. No fault may create or
+// destroy money.
+TEST(Serve, FaultsMidFlightLeaveInvariantsIntact) {
+  for (const fault::Site site : {fault::Site::kSocketReset, fault::Site::kServeAcceptFail,
+                                 fault::Site::kServeWriteShort}) {
+    SCOPED_TRACE(static_cast<int>(site));
+    ServerFixture f(/*workers=*/4, /*accounts=*/8, /*balance=*/1000);
+    fault::PlanScope scope(fault::single_site(site, 0.05, 7));
+    constexpr int kClients = 4, kRequests = 30;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kClients; t++) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kRequests; i++) {
+          Client c(f.cfg.port);
+          c.request("POST", "/txfer",
+                    "from=" + std::to_string((t + i) % 8) +
+                        "&to=" + std::to_string((t + i + 1) % 8) + "&amount=1");
           c.close();
-          c.redial();
         }
-      }
-      c.close();
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    f.server->shutdown();
+    EXPECT_GT(fault::fired(site), 0u);
+    EXPECT_EQ(total_balance(f.db), 8 * 1000);
   }
-  for (auto& th : threads) th.join();
-  f.server->shutdown();
-  EXPECT_EQ(total_balance(f.db), 8 * 1000);
 }
 
 TEST(Serve, AcceptFailFaultDropsConnectionButServerSurvives) {
