@@ -6,7 +6,10 @@
 //
 // Pipeline: main generates documents into a queue; the worker tokenizes,
 // stems, and feeds the inverted index; at the end the worker serializes
-// the index to the segment file.
+// the index to the segment file. As in Java, the worker blocks on the
+// empty queue (wait_on) and the producer notifies after each put, so
+// the section count is fixed by the documents plus a bounded number of
+// waits, not by scheduling.
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -99,9 +102,9 @@ uint64_t run_baseline_once(const text::CorpusConfig& cfg) {
 
 class PostingEntry : public runtime::TypedRef<PostingEntry> {
  public:
-  SBD_CLASS(PostingEntry, SBD_SLOT_FINAL("doc"), SBD_SLOT("tf"))
+  SBD_CLASS(PostingEntry, SBD_SLOT_FINAL("doc"), SBD_SLOT_FINAL("tf"))
   SBD_FIELD_FINAL_I64(0, doc)
-  SBD_FIELD_I64(1, tf)
+  SBD_FIELD_FINAL_I64(1, tf)
   static PostingEntry make(int64_t doc, int64_t tf) {
     PostingEntry e = alloc();
     e.init_doc(doc);
@@ -148,11 +151,18 @@ uint64_t run_sbd_once(const text::CorpusConfig& cfg) {
     while (indexed < cfg.numDocs) {
       runtime::ManagedObject* item = queue.get().take();
       if (!item) {
-        if (doneFlag.get().get(0) != 0 && queue.get().empty_check()) break;
-        // Nothing queued yet: release our locks so the producer can add.
-        split();
+        if (doneFlag.get().get(0) != 0) break;
+        // Queue empty: sleep until the producer's next put or its done
+        // signal. This section read the queue's empty flag and the done
+        // flag (read locks, or reads the split validates under
+        // versioned), so neither write can commit unseen before
+        // wait_on's split, and neither notify can be lost.
+        threads::wait_on(queue.get().raw());
         continue;
       }
+      // Commit the take alone, so the queue's head/size write locks go
+      // now and the producer's puts do not wait for this document.
+      split();
       {
         // Restore-safety: the token vectors/maps close before the split.
         DocText doc(item);
@@ -211,12 +221,14 @@ uint64_t run_sbd_once(const text::CorpusConfig& cfg) {
   run_sbd([&] {
     for (uint64_t d = 0; d < cfg.numDocs; d++) {
       runtime::MString body = runtime::MString::make(text::generate_document_text(cfg, d));
-      while (!queue.get().put(DocText::make(static_cast<int64_t>(d), body).raw())) {
-        split();  // queue full: let the worker drain
-      }
+      // The queue holds every document, so a put never finds it full.
+      const bool queued = queue.get().put(DocText::make(static_cast<int64_t>(d), body).raw());
+      SBD_CHECK(queued);
+      threads::notify_one(queue.get().raw());
       split();  // publish one document per section
     }
     doneFlag.get().set(0, 1);
+    threads::notify_all(queue.get().raw());
   });
   worker.join();
 
@@ -237,8 +249,10 @@ Benchmark luindex_benchmark() {
   b.sbd = [](const Scale& s, int) {
     return measure_sbd_run([&] { return run_sbd_once(corpus_config(s)); });
   };
-  // Our port: splits in worker loop (2), producer loop (2), finisher (1).
-  b.effort = EffortReport{5, 2, 0, 4, 1, 0, 1, 0, 38, 76, 27, 9};
+  // Our port: splits after each take and each document (worker), after
+  // each put (producer) and after the segment write (finisher); the
+  // worker's empty-queue wait splits inside wait_on.
+  b.effort = EffortReport{4, 2, 0, 5, 1, 0, 1, 0, 38, 76, 27, 9};
   return b;
 }
 

@@ -12,6 +12,7 @@ using runtime::ManagedObject;
 using runtime::RefArray;
 using runtime::I64Array;
 using runtime::MString;
+using runtime::ElemKind;
 
 // Every public method resolves the thread context ONCE and threads it
 // through the tc-taking accessor overloads — collection operations are
@@ -22,6 +23,27 @@ namespace {
 struct AnyRef : runtime::TypedRef<AnyRef> {
   using TypedRef::TypedRef;
 };
+
+// Every backing array is allocated here, from one JCL-owned array class
+// per element kind that takes one lock word for the whole array instead
+// of one per element (DESIGN "Known, documented deviations", like the
+// Table 4 adaptations). Every insert and removal already writes the
+// collection's `size`, so the coarser word adds no conflict between two
+// of them (a put and a take, two pushes), and a probe or a posting walk
+// takes one lock instead of one per element. Under a versioned process
+// map the arrays keep its per-element stamps, so their reads stay
+// invisible.
+ManagedObject* backing_array(ElemKind kind, uint64_t length) {
+  static const runtime::LockMap map = runtime::process_lock_map().versioned()
+                                          ? runtime::process_lock_map()
+                                          : runtime::LockMap::object_map();
+  static runtime::ClassInfo* const words =
+      runtime::register_array_class("jcl.long[]", ElemKind::kI64, map);
+  static runtime::ClassInfo* const refs =
+      runtime::register_array_class("jcl.Object[]", ElemKind::kRef, map);
+  return runtime::Heap::instance().alloc_array(
+      kind == ElemKind::kRef ? refs : words, length);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -36,7 +58,7 @@ constexpr uint32_t kData = 0, kSize = 1;
 MVector MVector::make(int64_t capacity) {
   MVector v = alloc();
   if (capacity < 4) capacity = 4;
-  auto arr = RefArray<AnyRef>::make(static_cast<uint64_t>(capacity));
+  RefArray<AnyRef> arr(backing_array(ElemKind::kRef, static_cast<uint64_t>(capacity)));
   runtime::init_write(v.raw(), vec::kData, reinterpret_cast<uint64_t>(arr.raw()));
   runtime::init_write(v.raw(), vec::kSize, 0);
   return v;
@@ -70,7 +92,7 @@ void MVector::push(ManagedObject* v) {
   auto* data = reinterpret_cast<ManagedObject*>(runtime::tx_read(tc, o_, vec::kData));
   const auto cap = runtime::array_length(data);
   if (static_cast<uint64_t>(n) == cap) {
-    auto bigger = RefArray<AnyRef>::make(cap * 2);
+    RefArray<AnyRef> bigger(backing_array(ElemKind::kRef, cap * 2));
     for (uint64_t i = 0; i < cap; i++)
       bigger.init_set(i, AnyRef(reinterpret_cast<ManagedObject*>(
                              runtime::tx_read_elem(tc, data, i))));
@@ -111,13 +133,13 @@ MIntMap MIntMap::make(int64_t capacity) {
   while (cap < capacity) cap *= 2;
   runtime::init_write(m.raw(), imap::kKeys,
                       reinterpret_cast<uint64_t>(
-                          I64Array::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kI64, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), imap::kVals,
                       reinterpret_cast<uint64_t>(
-                          RefArray<AnyRef>::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kRef, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), imap::kUsed,
                       reinterpret_cast<uint64_t>(
-                          I64Array::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kI64, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), imap::kSize, 0);
   runtime::init_write(m.raw(), imap::kCap, static_cast<uint64_t>(cap));
   return m;
@@ -193,9 +215,9 @@ void MIntMap::rehash(core::ThreadContext& tc) {
   auto* vals = reinterpret_cast<ManagedObject*>(runtime::tx_read(tc, o_, imap::kVals));
   auto* used = reinterpret_cast<ManagedObject*>(runtime::tx_read(tc, o_, imap::kUsed));
   const int64_t newCap = cap * 2;
-  auto nk = I64Array::make(static_cast<uint64_t>(newCap));
-  auto nv = RefArray<AnyRef>::make(static_cast<uint64_t>(newCap));
-  auto nu = I64Array::make(static_cast<uint64_t>(newCap));
+  I64Array nk(backing_array(ElemKind::kI64, static_cast<uint64_t>(newCap)));
+  RefArray<AnyRef> nv(backing_array(ElemKind::kRef, static_cast<uint64_t>(newCap)));
+  I64Array nu(backing_array(ElemKind::kI64, static_cast<uint64_t>(newCap)));
   for (int64_t i = 0; i < cap; i++) {
     if (runtime::tx_read_elem(tc, used, static_cast<uint64_t>(i)) == 0) continue;
     const auto key =
@@ -229,13 +251,13 @@ MStrMap MStrMap::make(int64_t capacity) {
   while (cap < capacity) cap *= 2;
   runtime::init_write(m.raw(), smap::kHashes,
                       reinterpret_cast<uint64_t>(
-                          I64Array::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kI64, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), smap::kKeys,
                       reinterpret_cast<uint64_t>(
-                          RefArray<MString>::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kRef, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), smap::kVals,
                       reinterpret_cast<uint64_t>(
-                          RefArray<AnyRef>::make(static_cast<uint64_t>(cap)).raw()));
+                          backing_array(ElemKind::kRef, static_cast<uint64_t>(cap))));
   runtime::init_write(m.raw(), smap::kSize, 0);
   runtime::init_write(m.raw(), smap::kCap, static_cast<uint64_t>(cap));
   return m;
@@ -312,9 +334,9 @@ void MStrMap::rehash(core::ThreadContext& tc) {
   auto* keys = reinterpret_cast<ManagedObject*>(runtime::tx_read(tc, o_, smap::kKeys));
   auto* vals = reinterpret_cast<ManagedObject*>(runtime::tx_read(tc, o_, smap::kVals));
   const int64_t newCap = cap * 2;
-  auto nh = I64Array::make(static_cast<uint64_t>(newCap));
-  auto nk = RefArray<MString>::make(static_cast<uint64_t>(newCap));
-  auto nv = RefArray<AnyRef>::make(static_cast<uint64_t>(newCap));
+  I64Array nh(backing_array(ElemKind::kI64, static_cast<uint64_t>(newCap)));
+  RefArray<MString> nk(backing_array(ElemKind::kRef, static_cast<uint64_t>(newCap)));
+  RefArray<AnyRef> nv(backing_array(ElemKind::kRef, static_cast<uint64_t>(newCap)));
   for (int64_t i = 0; i < cap; i++) {
     const uint64_t h = runtime::tx_read_elem(tc, hashes, static_cast<uint64_t>(i));
     if (h == 0) continue;
@@ -347,7 +369,7 @@ MTaskQueue MTaskQueue::make(int64_t capacity, bool useEmptyFlag) {
   MTaskQueue q = alloc();
   runtime::init_write(q.raw(), tq::kItems,
                       reinterpret_cast<uint64_t>(
-                          RefArray<AnyRef>::make(static_cast<uint64_t>(capacity)).raw()));
+                          backing_array(ElemKind::kRef, static_cast<uint64_t>(capacity))));
   runtime::init_write(q.raw(), tq::kHead, 0);
   runtime::init_write(q.raw(), tq::kTail, 0);
   runtime::init_write(q.raw(), tq::kSize, 0);

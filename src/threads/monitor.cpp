@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "core/queue.h"
+#include "core/resource.h"
 #include "core/transaction.h"
 
 namespace sbd::threads {
@@ -20,13 +21,16 @@ struct WaitSet {
 };
 
 std::mutex gTableMu;
-// WaitSets are leaked deliberately: an entry may be observed by a waker
-// after its last waiter left, and the table is small (one per object
-// ever waited on concurrently). Entries are pruned when empty.
+// One WaitSet per object some thread waits on, created by its first
+// waiter and deleted when its last waiter leaves; all guarded by
+// gTableMu. Wakers bump the counters under gTableMu too, so a set is
+// never touched after its deletion: the unpark that follows uses the
+// set's address only as a key, and a set reallocated at that address
+// can at most see a spurious wake, which its park loop re-checks.
 std::unordered_map<const void*, WaitSet*> gTable;
 
 // Finds or creates key's WaitSet and counts the caller as its waiter,
-// in one hold of gTableMu so a concurrent prune cannot orphan it.
+// in one hold of gTableMu so a concurrent leave cannot delete it.
 WaitSet* join_wait_set(const void* key) {
   std::lock_guard<std::mutex> lk(gTableMu);
   WaitSet*& ws = gTable[key];
@@ -37,30 +41,27 @@ WaitSet* join_wait_set(const void* key) {
 
 void leave_wait_set(const void* key, WaitSet* ws) {
   std::lock_guard<std::mutex> lk(gTableMu);
-  if (--ws->waiters == 0) {
-    auto it = gTable.find(key);
-    if (it != gTable.end() && it->second == ws) gTable.erase(it);
-    // ws itself leaks (tiny) — a waker may still hold the pointer.
-  }
+  if (--ws->waiters > 0) return;
+  gTable.erase(key);
+  delete ws;
 }
 
 // Signals key's waiters, if any wait.
 void deliver(const void* key, bool all) {
-  WaitSet* ws;
+  const void* parkKey;
   {
     std::lock_guard<std::mutex> lk(gTableMu);
     auto it = gTable.find(key);
     if (it == gTable.end()) return;
-    ws = it->second;
+    WaitSet* ws = it->second;
+    (all ? ws->allTicket : ws->singles).fetch_add(1, std::memory_order_release);
+    parkKey = ws;
   }
   auto& lot = core::ParkingLot::instance();
-  if (all) {
-    ws->allTicket.fetch_add(1, std::memory_order_release);
-    lot.unpark_all(ws);
-  } else {
-    ws->singles.fetch_add(1, std::memory_order_release);
-    lot.unpark_one(ws);
-  }
+  if (all)
+    lot.unpark_all(parkKey);
+  else
+    lot.unpark_one(parkKey);
 }
 
 // Consumes one notify_one credit if there is one.
@@ -71,6 +72,17 @@ bool take_single(WaitSet* ws) {
   return false;
 }
 
+// Leaves the wait set a wait_on joined when the split that would park
+// the caller aborts instead: a versioned read of the condition failed
+// validation there, and the retry re-reads it and joins again.
+struct JoinedWaitSet final : core::TxResource {
+  const void* key = nullptr;
+  WaitSet* ws = nullptr;
+  void on_commit() override {}
+  void on_abort() override { leave_wait_set(key, ws); }
+};
+thread_local JoinedWaitSet tJoined;
+
 }  // namespace
 
 void wait_on(runtime::ManagedObject* obj) {
@@ -78,10 +90,14 @@ void wait_on(runtime::ManagedObject* obj) {
   SBD_CHECK_MSG(tc.txn.active(), "wait_on outside an atomic section");
   SBD_CHECK_MSG(tc.noSplitDepth == 0, "wait_on inside a noSplit block");
   WaitSet* ws = join_wait_set(obj);
+  tJoined.key = obj;
+  tJoined.ws = ws;
+  tc.txn.add_resource(&tJoined);
 
   // Take the ticket *before* the split commits: we still hold locks on
-  // the condition here, so no signal for the current condition state
-  // can have been delivered yet.
+  // the condition here (under a versioned map, the split's validation
+  // aborts us if a signaller committed since our read), so no signal
+  // for the current condition state can have been delivered yet.
   const uint64_t allTicket0 = ws->allTicket.load(std::memory_order_acquire);
 
   auto blocked = [&] {
@@ -118,5 +134,10 @@ void signal(runtime::ManagedObject* obj, bool all) {
 
 void notify_all(runtime::ManagedObject* obj) { signal(obj, true); }
 void notify_one(runtime::ManagedObject* obj) { signal(obj, false); }
+
+size_t waited_objects() {
+  std::lock_guard<std::mutex> lk(gTableMu);
+  return gTable.size();
+}
 
 }  // namespace sbd::threads

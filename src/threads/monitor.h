@@ -16,6 +16,8 @@
 // (and bump the ticket) after the waiter's split released it.
 #pragma once
 
+#include <cstddef>
+
 #include "core/fwd.h"
 
 namespace sbd::threads {
@@ -26,5 +28,9 @@ void wait_on(runtime::ManagedObject* obj);
 // Deferred to commit when inside a section; immediate otherwise.
 void notify_all(runtime::ManagedObject* obj);
 void notify_one(runtime::ManagedObject* obj);
+
+// Objects with at least one thread in wait_on (each has one wait set,
+// freed when its last waiter leaves).
+size_t waited_objects();
 
 }  // namespace sbd::threads

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/class_info.h"
+#include "threads/monitor.h"
 
 namespace sbd::dacapo {
 namespace {
@@ -41,6 +42,30 @@ TEST(Dacapo, LuIndexChecksumsMatch) {
   const auto sbdr = b.sbd(tiny(), 1);
   EXPECT_EQ(base.checksum, sbdr.checksum);
   EXPECT_GT(sbdr.stm.acqRls + sbdr.stm.checkNew + sbdr.stm.checkOwned, 0u);
+}
+
+// The LuIndex worker blocks on the empty queue (wait_on) instead of
+// splitting on every empty take, so its sections are the producer's
+// puts, the worker's takes and documents, at most one wait per put and
+// a few fixed ones: a count bounded by the documents, not by scheduling.
+TEST(Dacapo, LuIndexCommitsAreBoundedByItsDocuments) {
+  auto b = luindex_benchmark();
+  const uint64_t docs = tiny().of(400);  // luindex.cpp's corpus size
+  for (int rep = 0; rep < 20; rep++) {
+    const auto r = b.sbd(tiny(), 1);
+    ASSERT_LE(r.stm.commits, 4 * docs + 4) << "repetition " << rep;
+  }
+}
+
+// Under versioned the worker's wait_on split can fail validation (the
+// producer's put re-stamped the empty flag the worker read); the aborted
+// wait must leave the wait set it joined, or the set outlives the run.
+TEST(Dacapo, LuIndexLeavesNoWaitSetBehind) {
+  auto b = luindex_benchmark();
+  for (int rep = 0; rep < 20; rep++) {
+    (void)b.sbd(Scale{1.0}, 1);
+    ASSERT_EQ(threads::waited_objects(), 0u) << "repetition " << rep;
+  }
 }
 
 TEST(Dacapo, LuSearchChecksumsMatch) {

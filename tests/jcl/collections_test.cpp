@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+
 #include "core/transaction.h"
+#include "runtime/object.h"
 
 namespace sbd::jcl {
 namespace {
@@ -210,6 +214,122 @@ TEST(MTaskQueueT, EmptyFlagReducesConflictSurface) {
   // must not be *worse*. (The strong separation shows up in the
   // dedicated ablation bench with more threads.)
   EXPECT_LE(withFlagConflicts.load(), withoutFlagConflicts.load() + 50);
+}
+
+// Every backing array comes from the JCL's own array classes: one lock
+// word per array under the field and object process maps, and the
+// process map's per-element stamps under versioned.
+void expect_jcl_backing_array(ManagedObject* owner, uint32_t slot) {
+  auto* arr = reinterpret_cast<ManagedObject*>(runtime::tx_read(owner, slot));
+  ASSERT_NE(arr, nullptr);
+  const runtime::LockMap map = arr->h.cls->lockMap;
+  if (runtime::process_lock_map().versioned()) {
+    EXPECT_TRUE(map.versioned()) << arr->h.cls->name;
+    EXPECT_EQ(runtime::lock_count(arr), runtime::array_length(arr)) << arr->h.cls->name;
+  } else {
+    EXPECT_EQ(map, runtime::LockMap::object_map()) << arr->h.cls->name;
+    EXPECT_EQ(runtime::lock_count(arr), 1u) << arr->h.cls->name;
+  }
+}
+
+TEST(JclArrays, BackingArraysTakeOneLockWordUnlessVersioned) {
+  run_sbd([&] {
+    MVector v = MVector::make(40);
+    for (int i = 0; i < 40; i++) v.push(Item::make(i).raw());  // grows once
+    expect_jcl_backing_array(v.raw(), 0);
+    MIntMap im = MIntMap::make(8);
+    for (int64_t k = 0; k < 20; k++) im.put(k, Item::make(k).raw());  // rehashes
+    for (uint32_t slot : {0u, 1u, 2u}) expect_jcl_backing_array(im.raw(), slot);
+    MStrMap sm = MStrMap::make(8);
+    for (int i = 0; i < 20; i++)
+      sm.put(runtime::MString::make("k" + std::to_string(i)), Item::make(i).raw());
+    for (uint32_t slot : {0u, 1u, 2u}) expect_jcl_backing_array(sm.raw(), slot);
+    MTaskQueue q = MTaskQueue::make(8, true);
+    expect_jcl_backing_array(q.raw(), 0);
+  });
+}
+
+// Walking a published vector read-locks its backing array once, not
+// once per element (the field and object maps; versioned reads lock
+// nothing).
+TEST(JclArrays, WalkingAVectorTakesOneArrayLock) {
+  runtime::GlobalRoot<MVector> root;
+  run_sbd([&] {
+    root.set(MVector::make(64));
+    for (int i = 0; i < 64; i++) root.get().push(Item::make(i).raw());
+  });
+  run_sbd([&] {
+    auto& tc = core::tls_context();
+    MVector v = root.get();
+    const uint64_t before = tc.stats.acqRls;
+    int present = 0;
+    for (int64_t i = 0; i < v.size(); i++) present += v.get(i) != nullptr;
+    EXPECT_EQ(present, 64);
+    // The vector's size and data slots (one word under object), then the array.
+    if (!runtime::process_lock_map().versioned()) {
+      EXPECT_LE(tc.stats.acqRls - before, 3u);
+    }
+  });
+}
+
+// Two threads working on distinct keys and on one vector: with one lock
+// word per array a reader and a writer of different elements now
+// conflict, so the runs block or abort and replay more, and the
+// contents must still come out exact.
+TEST(JclArrays, TwoThreadsKeepExactContents) {
+  constexpr int kPerThread = 200;
+  runtime::GlobalRoot<MStrMap> map;
+  runtime::GlobalRoot<MVector> vec;
+  run_sbd([&] {
+    map.set(MStrMap::make(8));
+    vec.set(MVector::make(4));
+  });
+  std::atomic<int> mismatches{0};
+  {
+    std::vector<threads::SbdThread> ts;
+    for (int t = 0; t < 2; t++) {
+      ts.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; i++) {
+          {
+            // Restore-safety: the key strings close before the split.
+            const std::string key = "t" + std::to_string(t) + "." + std::to_string(i);
+            map.get().put(runtime::MString::make(key), Item::make(t * 1000 + i).raw());
+            if (i > 0) {
+              const std::string prev = "t" + std::to_string(t) + "." + std::to_string(i - 1);
+              ManagedObject* got = map.get().get(prev);
+              if (!got || Item(got).v() != t * 1000 + i - 1) mismatches++;
+            }
+          }
+          vec.get().push(Item::make(t * 1000 + i).raw());
+          if (vec.get().at<Item>(vec.get().size() - 1).v() != t * 1000 + i) mismatches++;
+          split();
+        }
+      });
+    }
+    for (auto& th : ts) th.start();
+    for (auto& th : ts) th.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  run_sbd([&] {
+    EXPECT_EQ(map.get().size(), 2 * kPerThread);
+    for (int t = 0; t < 2; t++)
+      for (int i = 0; i < kPerThread; i++) {
+        ManagedObject* got = map.get().get("t" + std::to_string(t) + "." + std::to_string(i));
+        ASSERT_NE(got, nullptr) << t << "." << i;
+        EXPECT_EQ(Item(got).v(), t * 1000 + i);
+      }
+    // Each thread's pushes appear once, in its own order.
+    ASSERT_EQ(vec.get().size(), 2 * kPerThread);
+    int next[2] = {0, 0};
+    for (int64_t j = 0; j < vec.get().size(); j++) {
+      const int64_t val = vec.get().at<Item>(j).v();
+      const int t = static_cast<int>(val / 1000);
+      ASSERT_TRUE(t == 0 || t == 1) << val;
+      EXPECT_EQ(val % 1000, next[t]++);
+    }
+    EXPECT_EQ(next[0], kPerThread);
+    EXPECT_EQ(next[1], kPerThread);
+  });
 }
 
 }  // namespace
